@@ -25,13 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ToleranceError, ValidationError
+from .errors import ToleranceError, ValidationError, check_int
 from .linalg import as_complex_matrix, is_unitary, project_to_su
 from .mesh import (
     ARITY_CONSTRAINED,
     ARITY_FULL,
     Coupler,
     MeshPlan,
+    _triangle_pairs,
     depth,
     reconstruct,
 )
@@ -73,33 +74,37 @@ def triangle_decompose(m, tol: float = 1e-10) -> MeshPlan:
     of each chain come out with ``gamma == alpha`` exactly, which is what
     :func:`canonicalize` later relies on.
     """
+    return _eliminate(
+        m, tol, "triangle_decompose", lambda n, k: [(r, r + 1) for r in range(n - 2, k - 1, -1)]
+    )
+
+
+def _eliminate(m, tol: float, op: str, column_pairs) -> MeshPlan:
+    """Zero the SU(n) part of ``m`` column by column: ``column_pairs(n, k)``
+    lists the 0-based (pivot, target) rows of column k in application order.
+    """
     a = as_complex_matrix(m)
     if not is_unitary(a, tol):
-        raise ValidationError("triangle_decompose requires a unitary matrix")
+        raise ValidationError(f"{op} requires a unitary matrix")
     n = a.shape[0]
     phi, w = project_to_su(a, tol)
     w = w.copy()
     couplers = []
     for k in range(n - 1):
-        for r in range(n - 2, k - 1, -1):
-            ang = _elimination_angles(w[r, k], w[r + 1, k])
-            rows = [r, r + 1]
+        for p, q in column_pairs(n, k):
+            ang = _elimination_angles(w[p, k], w[q, k])
+            rows = [p, q]
             w[rows, k + 1 :] = su2_from_euler(ang).conj().T @ w[rows, k + 1 :]
             # The rotated column entries are known analytically: pivot
-            # becomes the pair norm, the lower entry exactly zero.
-            w[r, k] = math.hypot(abs(w[r, k]), abs(w[r + 1, k]))
-            w[r + 1, k] = 0.0
-            couplers.append(Coupler(r + 1, r + 2, ang, ARITY_FULL))
+            # becomes the pair norm, the target entry exactly zero.
+            w[p, k] = math.hypot(abs(w[p, k]), abs(w[q, k]))
+            w[q, k] = 0.0
+            couplers.append(Coupler(p + 1, q + 1, ang, ARITY_FULL))
     return MeshPlan(n, phi, tuple(couplers))
 
 
-def _triangle_pair_sequence(n: int) -> list[tuple[int, int]]:
-    """Mode pairs of the triangle plan in order: chains C_1 ... C_{n-1}."""
-    return [(m, m + 1) for k in range(1, n) for m in range(n - 1, k - 1, -1)]
-
-
 def _require_chain_order(plan: MeshPlan, op: str) -> None:
-    expected = _triangle_pair_sequence(plan.n)
+    expected = _triangle_pairs(plan.n)
     actual = [(c.i, c.j) for c in plan.couplers]
     if actual != expected:
         raise ValidationError(f"{op} requires a plan in canonical chain order")
@@ -299,22 +304,9 @@ def reck_decompose(m, tol: float = 1e-10) -> MeshPlan:
     nearest neighbours.  Useful only as a comparison point; the mesh
     operations that assume adjacency reject its output.
     """
-    a = as_complex_matrix(m)
-    if not is_unitary(a, tol):
-        raise ValidationError("reck_decompose requires a unitary matrix")
-    n = a.shape[0]
-    phi, w = project_to_su(a, tol)
-    w = w.copy()
-    couplers = []
-    for k in range(n - 1):
-        for r in range(n - 1, k, -1):
-            ang = _elimination_angles(w[k, k], w[r, k])
-            rows = [k, r]
-            w[rows, k + 1 :] = su2_from_euler(ang).conj().T @ w[rows, k + 1 :]
-            w[k, k] = math.hypot(abs(w[k, k]), abs(w[r, k]))
-            w[r, k] = 0.0
-            couplers.append(Coupler(k + 1, r + 1, ang, ARITY_FULL))
-    return MeshPlan(n, phi, tuple(couplers))
+    return _eliminate(
+        m, tol, "reck_decompose", lambda n, k: [(k, r) for r in range(n - 1, k, -1)]
+    )
 
 
 def generator_ledger(scheme: str, n: int) -> dict:
@@ -325,8 +317,7 @@ def generator_ledger(scheme: str, n: int) -> dict:
     only the n-1 adjacent pairs, so it saves (n-1)(n-2)/2 types over the
     all-pairs baseline.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise ValidationError(f"need integer n >= 2, got {n!r}")
+    check_int(n, "n", 2)
     if scheme == "triangle":
         offdiag = n - 1
         savings = (n - 1) * (n - 2) // 2

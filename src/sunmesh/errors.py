@@ -6,9 +6,14 @@ Every failure mode maps to one process exit code:
 * ``ToleranceError``     -> 2  (a numerical target was not met)
 * ``ValidationError``    -> 3  (mathematically invalid input)
 * ``ResourceError``      -> 4  (a configured size or cost cap was exceeded)
+
+It also holds the scalar input checks that all modules share.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Real
 
 
 class FormatError(ValueError):
@@ -36,3 +41,24 @@ class ToleranceError(RuntimeError):
 
 class ResourceError(RuntimeError):
     """The requested computation exceeds a configured resource cap."""
+
+
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """Return ``value`` if it is a non-bool int >= ``minimum``, else raise
+    :class:`ValidationError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def finite_float(x, where: str) -> float:
+    """Convert a non-bool real to a finite float, else raise
+    :class:`FormatError` naming ``where``."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise FormatError(f"{where}: expected a number, got {type(x).__name__}")
+    val = float(x)
+    if not math.isfinite(val):
+        raise FormatError(f"{where}: value must be finite")
+    return val

@@ -10,11 +10,13 @@ the full SU(2) measure (level 1 with both phases free), and all phases are
 uniform.  Inverse-CDF sampling makes every angle one or two uniform draws,
 so plans are reproducible at the bit level from a counter-based stream.
 
-:func:`sample_unitaries` draws matrices in bulk for statistics; it
-partitions work into fixed 1024-sample slabs keyed by (seed, slab index),
-which makes results independent of thread count.  :func:`validate_haar`
-compares any sampler variant against closed-form Haar laws and against an
-independently generated QR-based sample.
+Every sampler draws its angles the same way, coupler by coupler in plan
+order: beta, alpha, then gamma for chain heads.  :func:`sample_unitaries`
+draws a whole slab per angle and multiplies the plans out with the batched
+coupler kernel of :mod:`sunmesh.mesh`; its fixed 1024-sample slabs, keyed by
+(seed, slab index), make results independent of thread count.
+:func:`validate_haar` compares any sampler variant against closed-form Haar
+laws and against an independently generated QR-based sample.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp, kstest
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .linalg import random_unitary_qr
-from .mesh import ARITY_CONSTRAINED, ARITY_FULL, Coupler, MeshPlan
-from .su2 import EulerAngles, _wrap_phase
+from .mesh import ARITY_CONSTRAINED, ARITY_FULL, Coupler, MeshPlan, _product, _triangle_pairs
+from .su2 import EulerAngles
 
 __all__ = [
     "HaarSpec",
@@ -48,14 +49,6 @@ _CHUNK = 1024
 _TWO_PI = 2.0 * math.pi
 
 
-def _check_int(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class HaarSpec:
     """What to sample: dimension, stream seed, and group vs coset mode."""
@@ -65,8 +58,8 @@ class HaarSpec:
     mode: str = MODE_GROUP
 
     def __post_init__(self):
-        _check_int(self.n, "n", 2)
-        _check_int(self.seed, "seed", 0)
+        check_int(self.n, "n", 2)
+        check_int(self.seed, "seed", 0)
         if self.mode not in (MODE_GROUP, MODE_COSET):
             raise ValidationError(f"mode must be 'group' or 'coset', got {self.mode!r}")
 
@@ -77,7 +70,7 @@ def beta_density(level: int, beta):
     Level 1 is the plain SU(2) factor sin(beta).  Accepts scalars or
     arrays; any value outside [0, pi] is an error.
     """
-    _check_int(level, "level", 1)
+    check_int(level, "level", 1)
     b = np.asarray(beta, dtype=float)
     if np.any(b < 0.0) or np.any(b > math.pi):
         raise ValidationError("beta must lie in [0, pi]")
@@ -92,7 +85,7 @@ def sample_beta(level: int, u):
     on [0, 1], whose CDF is t^k, hence beta = 2*arcsin(u^(1/(2k))).  The map
     is monotone in u with beta -> 0 as u -> 0 and beta -> pi as u -> 1.
     """
-    _check_int(level, "level", 1)
+    check_int(level, "level", 1)
     x = np.asarray(u, dtype=float)
     if np.any(x < 0.0) or np.any(x >= 1.0):
         raise ValidationError("u must lie in [0, 1)")
@@ -100,27 +93,42 @@ def sample_beta(level: int, u):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def _coupler_slots(n: int, coset_only: bool) -> list[tuple[int, bool]]:
-    """(lower mode, is chain head) per coupler, in triangle plan order."""
-    chains = range(1, 2) if coset_only else range(1, n)
-    return [(m, m == n - 1) for k in chains for m in range(n - 1, k - 1, -1)]
+BETA_MODE_RECURSIVE = "recursive"
+BETA_MODE_UNIFORM = "uniform"
+
+
+def _draw_angles(n: int, rng, size, coset_only: bool, beta_mode: str):
+    """Mode pairs and angles, shape ``(m,)`` or ``(m, size)``, of a triangle
+    plan (or its first chain); head gamma is wrapped into (-2*pi, 2*pi].
+    """
+    pairs = _triangle_pairs(n)
+    if coset_only:
+        pairs = pairs[: n - 1]  # chain C_1
+    alphas, betas, gammas = [], [], []
+    for m, _ in pairs:
+        head = m == n - 1
+        u = rng.random(size)
+        if beta_mode == BETA_MODE_UNIFORM:
+            betas.append(math.pi * u)
+        else:
+            betas.append(sample_beta(1 if head else n - m, u))
+        alphas.append(_TWO_PI * rng.random(size))
+        if head:
+            gamma = 2.0 * _TWO_PI * rng.random(size)
+            gammas.append(np.where(gamma > _TWO_PI, gamma - 2.0 * _TWO_PI, gamma))
+        else:
+            gammas.append(alphas[-1])
+    return pairs, EulerAngles(np.array(alphas), np.array(betas), np.array(gammas))
 
 
 def _draw_plan(n: int, seed: int, coset_only: bool) -> MeshPlan:
     rng = np.random.Generator(np.random.Philox(seed))
-    couplers = []
-    for m, head in _coupler_slots(n, coset_only):
-        level = 1 if head else n - m
-        beta = float(sample_beta(level, rng.random()))
-        alpha = _TWO_PI * rng.random()
-        if head:
-            gamma = _wrap_phase(2.0 * _TWO_PI * rng.random())
-            couplers.append(Coupler(m, m + 1, EulerAngles(alpha, beta, gamma), ARITY_FULL))
-        else:
-            couplers.append(
-                Coupler(m, m + 1, EulerAngles(alpha, beta, alpha), ARITY_CONSTRAINED)
-            )
-    return MeshPlan(n, 0.0, tuple(couplers))
+    pairs, angles = _draw_angles(n, rng, None, coset_only, BETA_MODE_RECURSIVE)
+    couplers = tuple(
+        Coupler(i, j, EulerAngles(*row), ARITY_FULL if i == n - 1 else ARITY_CONSTRAINED)
+        for (i, j), row in zip(pairs, np.array(tuple(angles)).T.tolist())
+    )
+    return MeshPlan(n, 0.0, couplers)
 
 
 def sample_haar(spec: HaarSpec) -> MeshPlan:
@@ -148,44 +156,11 @@ def sample_coset(spec: HaarSpec) -> MeshPlan:
     return _draw_plan(spec.n, spec.seed, coset_only=True)
 
 
-BETA_MODE_RECURSIVE = "recursive"
-BETA_MODE_UNIFORM = "uniform"
-
-
 def _chunk_unitaries(n: int, seed: int, chunk: int, size: int, beta_mode: str) -> np.ndarray:
     """One slab of group samples, keyed (seed, chunk) for order independence."""
     rng = np.random.Generator(np.random.Philox([seed, chunk]))
-    slots = _coupler_slots(n, coset_only=False)
-    angles = []
-    for m, head in slots:
-        level = 1 if head else n - m
-        ub = rng.random(size)
-        if beta_mode == BETA_MODE_UNIFORM:
-            beta = math.pi * ub
-        else:
-            beta = 2.0 * np.arcsin(ub ** (1.0 / (2.0 * level)))
-        alpha = _TWO_PI * rng.random(size)
-        if head:
-            gamma = 2.0 * _TWO_PI * rng.random(size)
-            gamma = np.where(gamma > _TWO_PI, gamma - 2.0 * _TWO_PI, gamma)
-        else:
-            gamma = alpha
-        angles.append((m, alpha, beta, gamma))
-
-    acc = np.broadcast_to(np.eye(n, dtype=np.complex128), (size, n, n)).copy()
-    for m, alpha, beta, gamma in reversed(angles):
-        half_sum = 0.5 * (alpha + gamma)
-        half_diff = 0.5 * (alpha - gamma)
-        c = np.cos(0.5 * beta)
-        s = np.sin(0.5 * beta)
-        k = np.empty((size, 2, 2), dtype=np.complex128)
-        k[:, 0, 0] = np.exp(1j * half_sum) * c
-        k[:, 0, 1] = -np.exp(1j * half_diff) * s
-        k[:, 1, 0] = np.exp(-1j * half_diff) * s
-        k[:, 1, 1] = np.exp(-1j * half_sum) * c
-        rows = (m - 1, m)
-        acc[:, rows, :] = np.matmul(k, acc[:, rows, :])
-    return acc
+    pairs, angles = _draw_angles(n, rng, size, False, beta_mode)
+    return np.moveaxis(_product(n, pairs, angles), -1, 0)
 
 
 def _chunk_qr(n: int, seed: int, chunk: int, size: int) -> np.ndarray:
@@ -231,9 +206,9 @@ def sample_unitaries(
     validation.  Results depend only on (n, count, seed, beta_mode), never
     on ``workers``.
     """
-    _check_int(n, "n", 2)
-    _check_int(count, "count", 1)
-    _check_int(seed, "seed", 0)
+    check_int(n, "n", 2)
+    check_int(count, "count", 1)
+    check_int(seed, "seed", 0)
     if beta_mode not in (BETA_MODE_RECURSIVE, BETA_MODE_UNIFORM):
         raise ValidationError(f"unknown beta_mode {beta_mode!r}")
     return _run_chunks(
@@ -262,9 +237,11 @@ def validate_haar(
     comparing |(V U)_11|^2 against |U_11|^2 for a fixed random V.  The
     ``source`` selects the mesh sampler or the independent QR oracle.
     """
-    _check_int(n, "n", 2)
-    _check_int(samples, "samples", 1000)
-    _check_int(seed, "seed", 0)
+    from scipy.stats import ks_2samp, kstest
+
+    check_int(n, "n", 2)
+    check_int(samples, "samples", 1000)
+    check_int(seed, "seed", 0)
     if source == SOURCE_MESH:
         u = sample_unitaries(n, samples, seed, beta_mode=beta_mode, workers=workers)
     elif source == SOURCE_QR:

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from numbers import Real
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, finite_float
 
 __all__ = [
     "as_complex_matrix",
@@ -101,15 +100,6 @@ def matrix_to_json(m) -> dict:
     return {"n": n, "entries": entries}
 
 
-def _as_finite_float(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, Real):
-        raise FormatError(f"{where}: expected a number, got {type(x).__name__}")
-    val = float(x)
-    if not math.isfinite(val):
-        raise FormatError(f"{where}: value must be finite")
-    return val
-
-
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the interchange dict back into a complex matrix.
 
@@ -134,7 +124,7 @@ def matrix_from_json(obj) -> np.ndarray:
             if not isinstance(cell, (list, tuple)) or len(cell) != 2:
                 raise FormatError(f"entry ({r},{c}) must be a [re, im] pair")
             out[r, c] = complex(
-                _as_finite_float(cell[0], f"entry ({r},{c}) real part"),
-                _as_finite_float(cell[1], f"entry ({r},{c}) imaginary part"),
+                finite_float(cell[0], f"entry ({r},{c}) real part"),
+                finite_float(cell[1], f"entry ({r},{c}) imaginary part"),
             )
     return out

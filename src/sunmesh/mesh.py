@@ -18,13 +18,11 @@ multiplied out, and measured for depth, but the mode-locality operations
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_int, finite_float
 from .su2 import EulerAngles, euler_from_su2, su2_from_euler
 
 __all__ = [
@@ -50,11 +48,6 @@ ARITY_CONSTRAINED = "constrained2"
 _CONSTRAINED_TIE_TOL = 1e-12
 
 
-def _check_index(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Coupler:
     """One embedded 2x2 rotation acting on the mode pair ``(i, j)``."""
@@ -65,8 +58,8 @@ class Coupler:
     arity: str = ARITY_FULL
 
     def __post_init__(self):
-        _check_index(self.i, "i")
-        _check_index(self.j, "j")
+        check_int(self.i, "i")
+        check_int(self.j, "j")
         if not 1 <= self.i < self.j:
             raise ValidationError(f"need 1 <= i < j, got ({self.i}, {self.j})")
         if not isinstance(self.angles, EulerAngles):
@@ -94,9 +87,7 @@ class MeshPlan:
     couplers: tuple[Coupler, ...]
 
     def __post_init__(self):
-        _check_index(self.n, "n")
-        if self.n < 1:
-            raise ValidationError(f"n must be positive, got {self.n}")
+        check_int(self.n, "n", 1)
         object.__setattr__(self, "global_phase", float(self.global_phase))
         object.__setattr__(self, "couplers", tuple(self.couplers))
         for c in self.couplers:
@@ -123,7 +114,7 @@ def coupler_matrix(c: Coupler) -> np.ndarray:
 
 def embed_coupler(n: int, c: Coupler) -> np.ndarray:
     """Embed a coupler into the n-dimensional identity at its mode pair."""
-    _check_index(n, "n")
+    check_int(n, "n")
     if c.j > n:
         raise ValidationError(f"coupler pair ({c.i}, {c.j}) does not fit in {n} modes")
     out = np.eye(n, dtype=np.complex128)
@@ -136,38 +127,69 @@ def embed_coupler(n: int, c: Coupler) -> np.ndarray:
 def reconstruct(plan: MeshPlan) -> np.ndarray:
     """Multiply the plan out into its n x n unitary.
 
-    Applies couplers right-to-left as two-row updates, so the cost is
-    O(m * n) scalar rows rather than m full matrix products.
+    All coupler matrices are built in one call and applied right to left
+    as one vectorized two-row update per greedy layer (see :func:`depth`),
+    so the cost is O(m * n) arithmetic in O(depth) Python steps.
     """
-    m = np.eye(plan.n, dtype=np.complex128)
-    for c in reversed(plan.couplers):
-        rows = [c.i - 1, c.j - 1]
-        m[rows, :] = coupler_matrix(c) @ m[rows, :]
-    return cmath.exp(1j * plan.global_phase) * m
+    table = np.array([tuple(c.angles) for c in plan.couplers], dtype=float).reshape(-1, 3)
+    u = _product(plan.n, _pairs(plan), EulerAngles(*table.T))
+    return cmath.exp(1j * plan.global_phase) * u
 
 
-def _layer_assignment(plan: MeshPlan) -> list[int]:
+def _product(n: int, pairs: list[tuple[int, int]], angles: EulerAngles) -> np.ndarray:
+    """The ordered product B_1 @ ... @ B_m of couplers on 1-based ``pairs``.
+
+    ``angles`` holds arrays of shape ``(m, *batch)``; the result has shape
+    ``(n, n, *batch)``.  Sorting by greedy layer only swaps couplers on
+    disjoint modes, which commute, and within a layer no row repeats.
+    """
+    layers = np.array(_layer_assignment(n, pairs), dtype=np.intp)
+    order = np.argsort(layers, kind="stable")
+    # In layer order: k[a, b, t] is entry (a, b) of coupler t, with a unit
+    # axis that broadcasts over the n columns; rows[:, t] are its two rows.
+    k = su2_from_euler(angles)[:, :, order, None]
+    rows = (np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1)[order].T
+    # Layer L is the slice bounds[L-1]:bounds[L] of that order.
+    bounds = np.searchsorted(layers[order], np.arange(1, layers.max(initial=0) + 2)).tolist()
+    out = np.zeros((n, n) + k.shape[4:], dtype=np.complex128)
+    out[np.arange(n), np.arange(n)] = 1.0
+    for s, e in reversed(list(zip(bounds, bounds[1:]))):
+        r = rows[:, s:e]
+        u, v = out[r]
+        out[r] = k[:, 0, s:e] * u + k[:, 1, s:e] * v
+    return out
+
+
+def _pairs(plan: MeshPlan) -> list[tuple[int, int]]:
+    return [(c.i, c.j) for c in plan.couplers]
+
+
+def _triangle_pairs(n: int) -> list[tuple[int, int]]:
+    """Mode pairs of the triangle plan in order: chains C_1 ... C_{n-1}."""
+    return [(m, m + 1) for k in range(1, n) for m in range(n - 1, k - 1, -1)]
+
+
+def _layer_assignment(n: int, pairs: list[tuple[int, int]]) -> list[int]:
     """Greedy earliest-layer schedule; a coupler occupies modes i..j."""
-    level = [0] * (plan.n + 1)
+    level = [0] * (n + 1)
     out = []
-    for c in plan.couplers:
-        layer = 1 + max(level[c.i : c.j + 1], default=0)
-        for m in range(c.i, c.j + 1):
-            level[m] = layer
+    for i, j in pairs:
+        layer = 1 + max(level[i : j + 1])
+        level[i : j + 1] = [layer] * (j + 1 - i)
         out.append(layer)
     return out
 
 
 def depth(plan: MeshPlan) -> int:
     """Number of layers when couplers are packed greedily left to right."""
-    layers = _layer_assignment(plan)
+    layers = _layer_assignment(plan.n, _pairs(plan))
     return max(layers, default=0)
 
 
 def multiplicity(plan: MeshPlan, i: int) -> int:
     """How many couplers act on the adjacent pair ``(i, i+1)``."""
     _require_adjacent(plan, "multiplicity")
-    _check_index(i, "i")
+    check_int(i, "i")
     if not 1 <= i <= plan.n - 1:
         raise ValidationError(f"pair index must be in 1..{plan.n - 1}, got {i}")
     return sum(1 for c in plan.couplers if c.i == i)
@@ -217,7 +239,7 @@ def render(plan: MeshPlan, format: str = "ascii") -> str:
 
 def _render_ascii(plan: MeshPlan) -> str:
     n = plan.n
-    layers = _layer_assignment(plan)
+    layers = _layer_assignment(plan.n, _pairs(plan))
     ncols = max(max(layers, default=0), 1)
     margin = len(str(n))
 
@@ -251,7 +273,7 @@ def _render_ascii(plan: MeshPlan) -> str:
 
 def _render_svg(plan: MeshPlan) -> str:
     n = plan.n
-    layers = _layer_assignment(plan)
+    layers = _layer_assignment(plan.n, _pairs(plan))
     ncols = max(max(layers, default=0), 1)
     x0, dx, y0, dy = 50, 60, 30, 40
     width = x0 + ncols * dx + 10
@@ -313,15 +335,6 @@ def _field(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _as_float(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, Real):
-        raise FormatError(f"{where}: expected a number, got {type(x).__name__}")
-    val = float(x)
-    if not math.isfinite(val):
-        raise FormatError(f"{where}: value must be finite")
-    return val
-
-
 def plan_from_json(obj) -> MeshPlan:
     """Parse the interchange dict back into a validated plan.
 
@@ -334,7 +347,7 @@ def plan_from_json(obj) -> MeshPlan:
     n = _field(obj, "n", "plan")
     if isinstance(n, bool) or not isinstance(n, int):
         raise FormatError("'n' must be an integer")
-    phase = _as_float(_field(obj, "global_phase", "plan"), "global_phase")
+    phase = finite_float(_field(obj, "global_phase", "plan"), "global_phase")
     raw = _field(obj, "couplers", "plan")
     if not isinstance(raw, list):
         raise FormatError("'couplers' must be a list")
@@ -348,9 +361,9 @@ def plan_from_json(obj) -> MeshPlan:
         if any(isinstance(v, bool) or not isinstance(v, int) for v in (i, j)):
             raise FormatError(f"{where}: 'i' and 'j' must be integers")
         angles = EulerAngles(
-            _as_float(_field(entry, "alpha", where), f"{where} alpha"),
-            _as_float(_field(entry, "beta", where), f"{where} beta"),
-            _as_float(_field(entry, "gamma", where), f"{where} gamma"),
+            finite_float(_field(entry, "alpha", where), f"{where} alpha"),
+            finite_float(_field(entry, "beta", where), f"{where} beta"),
+            finite_float(_field(entry, "gamma", where), f"{where} gamma"),
         )
         arity = _field(entry, "arity", where)
         if not isinstance(arity, str):

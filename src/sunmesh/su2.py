@@ -67,16 +67,17 @@ class EulerAngles:
 def su2_from_euler(angles: EulerAngles) -> np.ndarray:
     """Build the 2x2 special unitary K(alpha, beta, gamma).
 
-    Accepts any real angles; no range normalization is applied.
+    Accepts any real angles; no range normalization is applied.  Fields
+    that are equal-shape arrays give shape ``(2, 2, *shape)``.
     """
     half_sum = 0.5 * (angles.alpha + angles.gamma)
     half_diff = 0.5 * (angles.alpha - angles.gamma)
-    c = math.cos(0.5 * angles.beta)
-    s = math.sin(0.5 * angles.beta)
+    c = np.cos(0.5 * angles.beta)
+    s = np.sin(0.5 * angles.beta)
     return np.array(
         [
-            [cmath.exp(1j * half_sum) * c, -cmath.exp(1j * half_diff) * s],
-            [cmath.exp(-1j * half_diff) * s, cmath.exp(-1j * half_sum) * c],
+            [np.exp(1j * half_sum) * c, -np.exp(1j * half_diff) * s],
+            [np.exp(-1j * half_diff) * s, np.exp(-1j * half_sum) * c],
         ]
     )
 

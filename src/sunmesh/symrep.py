@@ -18,9 +18,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
-from .errors import ResourceError, ValidationError
+from .errors import ResourceError, ValidationError, check_int
 from .linalg import as_complex_matrix, is_unitary
 from .mesh import Coupler, MeshPlan
 
@@ -37,14 +36,6 @@ __all__ = [
 _DEFAULT_DIM_CAP = 5000
 _PERMANENT_SIZE_CAP = 20
 _INT64_MAX = 2**63 - 1
-
-
-def _check_count(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def dimension_cap() -> int:
@@ -67,8 +58,8 @@ def basis_dimension(n: int, p: int) -> int:
     Raises :class:`OverflowError` if the count does not fit in a signed
     64-bit integer, rather than silently wrapping.
     """
-    _check_count(n, "n", 1)
-    _check_count(p, "p", 0)
+    check_int(n, "n", 1)
+    check_int(p, "p", 0)
     dim = math.comb(n + p - 1, p)
     if dim > _INT64_MAX:
         raise OverflowError(
@@ -96,8 +87,8 @@ class FockBasis:
     """
 
     def __init__(self, n: int, p: int):
-        self.n = _check_count(n, "n", 1)
-        self.p = _check_count(p, "p", 0)
+        self.n = check_int(n, "n", 1)
+        self.p = check_int(p, "p", 0)
         basis_dimension(n, p)
         self.states: tuple[tuple[int, ...], ...] = tuple(_occupations(n, p))
         self.index: dict[tuple[int, ...], int] = {s: r for r, s in enumerate(self.states)}
@@ -110,13 +101,13 @@ class FockBasis:
 
 
 def _check_mode_index(basis: FockBasis, value: int, name: str) -> int:
-    _check_count(value, name, 1)
+    check_int(value, name, 1)
     if value > basis.n:
         raise ValidationError(f"{name} must be in 1..{basis.n}, got {value}")
     return value
 
 
-def lifted_generator(basis: FockBasis, i: int, j: int) -> csr_matrix:
+def lifted_generator(basis: FockBasis, i: int, j: int) -> "scipy.sparse.csr_matrix":
     """Sparse ladder generator C_ij in the given basis.
 
     Off-diagonal action: C_ij maps |m> to sqrt((m_i + 1) * m_j) times the
@@ -124,6 +115,8 @@ def lifted_generator(basis: FockBasis, i: int, j: int) -> csr_matrix:
     generator C_ii counts the photons in mode i.  The lift of C_ji is the
     conjugate transpose of the lift of C_ij.
     """
+    from scipy.sparse import csr_matrix
+
     _check_mode_index(basis, i, "i")
     _check_mode_index(basis, j, "j")
     dim = len(basis)
@@ -285,7 +278,7 @@ def lift_via_permanents(
     m = as_complex_matrix(u)
     if not is_unitary(m, tol):
         raise ValidationError("lift_via_permanents requires a unitary matrix")
-    _check_count(p, "p", 0)
+    check_int(p, "p", 0)
     if p > _PERMANENT_SIZE_CAP:
         raise ResourceError(f"photon number {p} exceeds permanent cap {_PERMANENT_SIZE_CAP}")
     basis = FockBasis(m.shape[0], p)

@@ -1,10 +1,14 @@
 import io
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sunmesh
 from sunmesh import (
     ToleranceError,
     depth,
@@ -265,6 +269,23 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["n"] == 3
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is imported only by the functions that use it, so start-up of
+    # every subcommand stays free of scipy.stats and scipy.sparse.
+    src = str(Path(sunmesh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, sunmesh.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():

@@ -6,7 +6,10 @@ import pytest
 from sunmesh import (
     ARITY_CONSTRAINED,
     ARITY_FULL,
+    Coupler,
+    EulerAngles,
     HaarSpec,
+    MeshPlan,
     ValidationError,
     beta_density,
     is_unitary,
@@ -97,6 +100,51 @@ def test_sample_haar_plan_shape_and_determinism():
         if c.arity == ARITY_CONSTRAINED:
             assert c.angles.gamma == c.angles.alpha
     assert is_unitary(reconstruct(plan), tol=1e-12)
+
+
+def _reference_plan(n, bit_generator, coset=False, width=1, lane=0):
+    """Draw a plan coupler by coupler in the documented order.
+
+    Each angle takes ``width`` uniforms at once and keeps the one at
+    ``lane``, which is how lane ``lane`` of a ``width``-draw slab sees the
+    stream.
+    """
+    rng = np.random.Generator(bit_generator)
+
+    def draw():
+        return float(rng.random(width)[lane])
+
+    couplers = []
+    for k in [1] if coset else range(1, n):
+        for m in range(n - 1, k - 1, -1):
+            head = m == n - 1
+            beta = sample_beta(1 if head else n - m, draw())
+            alpha = 2 * math.pi * draw()
+            if head:
+                gamma = 4 * math.pi * draw()
+                if gamma > 2 * math.pi:
+                    gamma -= 4 * math.pi
+                couplers.append(Coupler(m, m + 1, EulerAngles(alpha, beta, gamma), ARITY_FULL))
+            else:
+                couplers.append(
+                    Coupler(m, m + 1, EulerAngles(alpha, beta, alpha), ARITY_CONSTRAINED)
+                )
+    return MeshPlan(n, 0.0, tuple(couplers))
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 11), (5, 4), (8, 29)])
+def test_samplers_follow_the_documented_draw_order(n, seed):
+    assert sample_haar(HaarSpec(n, seed=seed)) == _reference_plan(n, np.random.Philox(seed))
+    coset = sample_coset(HaarSpec(n, seed=seed, mode="coset"))
+    assert coset == _reference_plan(n, np.random.Philox(seed), coset=True)
+
+    u = sample_unitaries(n, 1025, seed=seed)
+    first = _reference_plan(n, np.random.Philox([seed, 0]), width=1024, lane=0)
+    last = _reference_plan(n, np.random.Philox([seed, 1]))
+    assert np.max(np.abs(u[0] - reconstruct(first))) <= 1e-13
+    assert np.max(np.abs(u[1024] - reconstruct(last))) <= 1e-13
+    single = reconstruct(_reference_plan(n, np.random.Philox([seed, 0])))
+    assert np.max(np.abs(sample_unitaries(n, 1, seed=seed)[0] - single)) <= 1e-13
 
 
 def test_sample_haar_mode_mismatch():

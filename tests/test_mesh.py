@@ -13,6 +13,7 @@ from sunmesh import (
     FormatError,
     MeshPlan,
     ValidationError,
+    clements_decompose,
     coupler_matrix,
     depth,
     embed_coupler,
@@ -21,9 +22,12 @@ from sunmesh import (
     parameter_count,
     plan_from_json,
     plan_to_json,
+    random_unitary_qr,
+    reck_decompose,
     reconstruct,
     render,
     su2_from_euler,
+    triangle_decompose,
 )
 
 R23 = Coupler(2, 3, EulerAngles(0.4, 1.0, -0.2), ARITY_FULL)
@@ -91,6 +95,42 @@ def test_reconstruct_identity_plan():
         Coupler(i, i + 1, EulerAngles(0, 0, 0)) for i in (2, 1, 2)
     )
     assert np.array_equal(reconstruct(MeshPlan(3, 0.0, couplers)), np.eye(3))
+
+
+def _random_span_plan(n, seed):
+    """Couplers on random, mostly non-adjacent pairs: layers mix widths."""
+    rng = np.random.default_rng(seed)
+    couplers = []
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False).tolist())
+        couplers.append(full(i, j, *rng.uniform(-7.0, 7.0, 3).tolist()))
+    return MeshPlan(n, 0.4, tuple(couplers))
+
+
+def _doubled_triangle_merged(u):
+    tri = triangle_decompose(u)
+    return merge_adjacent(MeshPlan(tri.n, 0.7, tri.couplers + tri.couplers))
+
+
+KERNEL_PLANS = {
+    "triangle": triangle_decompose,
+    "reck": reck_decompose,
+    "clements": clements_decompose,
+    "merged": _doubled_triangle_merged,
+    "empty": lambda u: MeshPlan(u.shape[0], -1.3, ()),
+    "random_spans": lambda u: _random_span_plan(u.shape[0], seed=u.shape[0]),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(KERNEL_PLANS))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_reconstruct_equals_ordered_product_of_embedded_couplers(n, scheme):
+    plan = KERNEL_PLANS[scheme](random_unitary_qr(n, seed=40 + n))
+    want = np.eye(n, dtype=complex)
+    for c in plan.couplers:
+        want = want @ embed_coupler(n, c)
+    want = cmath.exp(1j * plan.global_phase) * want
+    assert np.max(np.abs(reconstruct(plan) - want)) <= 1e-13
 
 
 def test_depth_single_coupler():

@@ -46,6 +46,16 @@ def test_su2_from_euler_unit_determinant():
     assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-14)
 
 
+def test_su2_from_euler_array_angles_match_scalar_calls():
+    a, b, g = np.random.default_rng(3).uniform(-20.0, 20.0, (3, 4, 5))
+    k = su2_from_euler(EulerAngles(a, b, g))
+    assert k.shape == (2, 2, 4, 5)
+    for idx in np.ndindex(4, 5):
+        one = su2_from_euler(EulerAngles(float(a[idx]), float(b[idx]), float(g[idx])))
+        assert one.shape == (2, 2)
+        assert np.max(np.abs(k[(slice(None), slice(None)) + idx] - one)) <= 1e-15
+
+
 def test_angles_are_four_pi_periodic_and_two_pi_flips_sign():
     base = EulerAngles(0.5, 1.2, -0.7)
     u = su2_from_euler(base)
