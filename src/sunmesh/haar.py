@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_int
-from .linalg import random_unitary_qr
+from .linalg import _ginibre_qr, random_unitary_qr
 from .mesh import ARITY_CONSTRAINED, ARITY_FULL, Coupler, MeshPlan, _product, _triangle_pairs
 from .su2 import EulerAngles
 
@@ -89,8 +89,13 @@ def sample_beta(level: int, u):
     x = np.asarray(u, dtype=float)
     if np.any(x < 0.0) or np.any(x >= 1.0):
         raise ValidationError("u must lie in [0, 1)")
-    out = 2.0 * np.arcsin(x ** (1.0 / (2.0 * level)))
+    out = _beta_from_uniform(level, x)
     return float(out) if np.ndim(u) == 0 else out
+
+
+def _beta_from_uniform(level: int, u):
+    """The inverse CDF of :func:`sample_beta`, without its checks."""
+    return 2.0 * np.arcsin(np.power(u, 1.0 / (2.0 * level)))
 
 
 BETA_MODE_RECURSIVE = "recursive"
@@ -111,7 +116,7 @@ def _draw_angles(n: int, rng, size, coset_only: bool, beta_mode: str):
         if beta_mode == BETA_MODE_UNIFORM:
             betas.append(math.pi * u)
         else:
-            betas.append(sample_beta(1 if head else n - m, u))
+            betas.append(_beta_from_uniform(1 if head else n - m, u))
         alphas.append(_TWO_PI * rng.random(size))
         if head:
             gamma = 2.0 * _TWO_PI * rng.random(size)
@@ -156,20 +161,15 @@ def sample_coset(spec: HaarSpec) -> MeshPlan:
     return _draw_plan(spec.n, spec.seed, coset_only=True)
 
 
+def _slab_rng(seed: int, chunk: int):
+    """The stream of one sample slab, keyed (seed, chunk) for order independence."""
+    return np.random.Generator(np.random.Philox([seed, chunk]))
+
+
 def _chunk_unitaries(n: int, seed: int, chunk: int, size: int, beta_mode: str) -> np.ndarray:
-    """One slab of group samples, keyed (seed, chunk) for order independence."""
-    rng = np.random.Generator(np.random.Philox([seed, chunk]))
-    pairs, angles = _draw_angles(n, rng, size, False, beta_mode)
+    """One slab of group samples."""
+    pairs, angles = _draw_angles(n, _slab_rng(seed, chunk), size, False, beta_mode)
     return np.moveaxis(_product(n, pairs, angles), -1, 0)
-
-
-def _chunk_qr(n: int, seed: int, chunk: int, size: int) -> np.ndarray:
-    """One slab of QR-oracle samples on the same (seed, chunk) keying."""
-    rng = np.random.Generator(np.random.Philox([seed, chunk]))
-    g = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
-    q, r = np.linalg.qr(g / math.sqrt(2.0))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * np.conj(d / np.abs(d))[:, None, :]
 
 
 def _run_chunks(n: int, count: int, fn, workers) -> np.ndarray:
@@ -245,7 +245,9 @@ def validate_haar(
     if source == SOURCE_MESH:
         u = sample_unitaries(n, samples, seed, beta_mode=beta_mode, workers=workers)
     elif source == SOURCE_QR:
-        u = _run_chunks(n, samples, lambda chunk, size: _chunk_qr(n, seed, chunk, size), workers)
+        u = _run_chunks(
+            n, samples, lambda chunk, size: _ginibre_qr(_slab_rng(seed, chunk), n, (size,)), workers
+        )
     else:
         raise ValidationError(f"unknown source {source!r}")
 

@@ -85,11 +85,16 @@ def random_unitary_qr(n: int, seed: int = 0) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError(f"dimension must be positive, got {n}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    return _ginibre_qr(np.random.Generator(np.random.Philox(seed)), n)
+
+
+def _ginibre_qr(rng, n: int, shape=()) -> np.ndarray:
+    """Haar unitaries of shape ``(*shape, n, n)`` from one Ginibre QR draw."""
+    size = (*shape, n, n)
+    g = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2)
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * np.conj(d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.conj(d / np.abs(d))[..., None, :]
 
 
 def matrix_to_json(m) -> dict:

@@ -288,6 +288,30 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_lift_path_loads_no_scipy(tmp_path):
+    # the generator lift fills its dense generators without scipy.sparse
+    src = str(Path(sunmesh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    plan_path, out_path = str(tmp_path / "plan.json"), str(tmp_path / "out.json")
+    code = (
+        "import json, sys\n"
+        "from sunmesh import FockBasis, HaarSpec, lift_plan, plan_to_json, sample_haar\n"
+        "from sunmesh.cli import main\n"
+        "plan = sample_haar(HaarSpec(4, 3))\n"
+        "lift_plan(FockBasis(4, 2), plan)\n"
+        f"open({plan_path!r}, 'w').write(json.dumps(plan_to_json(plan)))\n"
+        f"assert main(['lift', {plan_path!r}, '--p', '2', '--output', {out_path!r}]) == 0\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert json.loads(Path(out_path).read_text())["provenance"]["dimension"] == 10
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         ["sunmesh", "lift", "--n", "9", "--p", "5"], capture_output=True, text=True

@@ -225,6 +225,18 @@ def test_dimension_cap_is_enforced_and_overridable(monkeypatch):
         lift_plan(FockBasis(4, 4), plan)
 
 
+def test_fock_basis_checks_cap_before_enumerating(monkeypatch):
+    from sunmesh import symrep
+
+    def sentinel(n, p):
+        raise AssertionError("states enumerated before the cap check")
+
+    monkeypatch.setenv("TRIMESH_DIM_CAP", "30")
+    monkeypatch.setattr(symrep, "_occupations", sentinel)
+    with pytest.raises(ResourceError):
+        FockBasis(4, 4)  # dim 35 > 30
+
+
 def test_permanent_known_values():
     assert permanent_ryser([[4.2]]) == pytest.approx(4.2)
     assert permanent_ryser(np.ones((3, 3))) == pytest.approx(6.0)
@@ -233,11 +245,22 @@ def test_permanent_known_values():
     assert permanent_ryser(np.eye(6)) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_permanent_matches_brute_force(k):
     rng = np.random.default_rng(k)
     a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     assert abs(permanent_ryser(a) - permanent_brute(a)) < 1e-9
+
+
+def test_permanent_closed_forms_beyond_one_table():
+    # sizes above 12 columns also run the loop over the remaining columns
+    for k in (13, 16, 20):
+        want = math.factorial(k)
+        assert abs(permanent_ryser(np.ones((k, k))) - want) <= 1e-12 * want, k
+    rng = np.random.default_rng(14)
+    u, v = rng.normal(size=(2, 14)) + 1j * rng.normal(size=(2, 14))
+    want = math.factorial(14) * np.prod(u) * np.prod(v)
+    assert abs(permanent_ryser(np.outer(u, v)) - want) <= 1e-10 * abs(want)
 
 
 def test_permanent_size_cap():
