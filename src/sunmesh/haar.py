@@ -272,7 +272,7 @@ def validate_haar(
     }
 
     v = random_unitary_qr(n, seed + 1)
-    w11 = np.abs(np.matmul(v, u)[:, 0, 0]) ** 2
+    w11 = np.abs(u[:, :, 0] @ v[0]) ** 2  # (V U)_11 from row 1 of V alone
     two = ks_2samp(w11, s11)
     invariance = {
         "stat": float(two.statistic),

@@ -1,11 +1,14 @@
 """Symmetric p-photon representations of n-mode unitaries, two ways.
 
-The generator route lifts each mesh coupler by exponentiating bosonic
-ladder generators in the C(n+p-1, p)-dimensional Fock basis and multiplies
-the lifts in plan order.  The permanent route evaluates every matrix
-element of the lifted unitary directly as a scaled permanent of a repeated
-row/column submatrix.  The two routes are algebraically identical and are
-kept independent so each can check the other.
+The generator route lifts each mesh coupler in the C(n+p-1, p)-dimensional
+Fock basis and multiplies the lifts in plan order.  A coupler on modes
+(i, i+1) conserves m_i + m_{i+1} = s and every other occupation, so its
+lift is block-diagonal: one (s+1)x(s+1) spin-s/2 Wigner block per s, the
+bosonic ladder-generator exponential restricted to two modes and s
+photons.  The permanent route evaluates every matrix element of the lifted
+unitary directly as a scaled permanent of a repeated row/column submatrix.
+The two routes are algebraically identical and are kept independent so
+each can check the other.
 
 A configurable dimension cap (``TRIMESH_DIM_CAP``, default 5000) is checked
 when a :class:`FockBasis` is built, before any state is enumerated, so both
@@ -107,20 +110,6 @@ class FockBasis:
         return f"FockBasis(n={self.n}, p={self.p}, dim={len(self.states)})"
 
 
-def _ladder_entries(basis: FockBasis, i: int, j: int):
-    """Nonzero ``(rows, cols, vals)`` of the ladder generator C_ij."""
-    rows, cols, vals = [], [], []
-    for c, state in enumerate(basis.states):
-        if state[j - 1]:
-            target = list(state)
-            target[i - 1] += 1
-            target[j - 1] -= 1
-            rows.append(basis.index[tuple(target)])
-            cols.append(c)
-            vals.append(math.sqrt(target[i - 1] * state[j - 1]))
-    return rows, cols, vals
-
-
 def lifted_generator(basis: FockBasis, i: int, j: int) -> "scipy.sparse.csr_matrix":
     """Sparse ladder generator C_ij in the given basis.
 
@@ -134,33 +123,56 @@ def lifted_generator(basis: FockBasis, i: int, j: int) -> "scipy.sparse.csr_matr
     for name, k in (("i", i), ("j", j)):
         if check_int(k, name, 1) > basis.n:
             raise ValidationError(f"{name} must be in 1..{basis.n}, got {k}")
-    rows, cols, vals = _ladder_entries(basis, i, j)
+    rows, cols, vals = [], [], []
+    for c, state in enumerate(basis.states):
+        if state[j - 1]:
+            target = list(state)
+            target[i - 1] += 1
+            target[j - 1] -= 1
+            rows.append(basis.index[tuple(target)])
+            cols.append(c)
+            vals.append(math.sqrt(target[i - 1] * state[j - 1]))
     dim = len(basis)
     return csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.float64)
 
 
-def _mixing_eigensystem(basis: FockBasis, i: int, j: int):
-    """Eigendecomposition of the Hermitian i*(C_ij - C_ji) for one pair."""
-    rows, cols, vals = _ladder_entries(basis, i, j)
-    g = np.zeros((len(basis), len(basis)))
-    g[rows, cols] = vals
-    return np.linalg.eigh(1j * (g - g.T).astype(np.complex128))
+def _pair_tables(occ: np.ndarray, i: int) -> list[tuple[int, np.ndarray]]:
+    """State tables of the SU(2) blocks of the adjacent pair (i, i+1).
+
+    For each s >= 1 the (s+1, groups) table lists the states with
+    m_i + m_{i+1} = s, one column per setting of the other occupations,
+    rows ordered m_i = s, ..., 0 as in ``FockBasis(2, s)``.  The s = 0
+    block is 1.
+    """
+    a, b = occ[:, i - 1], occ[:, i]
+    rest = np.delete(occ, [i - 1, i], axis=1)
+    rows = np.lexsort((-a, *rest.T[::-1], a + b))
+    groups = np.split(rows, np.cumsum(np.bincount(a + b))[:-1])
+    return [(s, g.reshape(-1, s + 1).T) for s, g in enumerate(groups) if s and g.size]
 
 
-def _lift_from_eigensystem(basis, c: Coupler, w, v) -> np.ndarray:
-    mixing = (v * np.exp(0.5j * c.angles.beta * w)) @ v.conj().T
-    d = np.array([s[c.i - 1] - s[c.j - 1] for s in basis.states], dtype=np.float64)
-    za = np.exp(0.5j * c.angles.alpha * d)
-    zg = np.exp(0.5j * c.angles.gamma * d)
-    return za[:, None] * mixing * zg[None, :]
+def _su2_block(s: int, angles, eigs: dict) -> np.ndarray:
+    """The spin-s/2 Wigner D-matrix of a coupler on ``FockBasis(2, s)``.
+
+    ``eigs`` caches the eigensystem of i*(C_12 - C_21) for each s.
+    """
+    if s not in eigs:
+        k = np.arange(1, s + 1)
+        g = np.diag(np.sqrt((s + 1 - k) * k), 1)
+        eigs[s] = np.linalg.eigh(1j * (g - g.T))
+    w, v = eigs[s]
+    d = np.arange(s, -s - 1, -2)
+    mixing = (v * np.exp(0.5j * angles.beta * w)) @ v.conj().T
+    return np.exp(0.5j * angles.alpha * d)[:, None] * mixing * np.exp(0.5j * angles.gamma * d)
 
 
 def lift_coupler(basis: FockBasis, c: Coupler) -> np.ndarray:
     """Lift one adjacent coupler to the p-photon basis.
 
     The z rotations lift to diagonal phases exp(i*(theta/2)*(m_i - m_j))
-    and the middle rotation to exp(-(beta/2)*(C_ij - C_ji)), evaluated by
-    eigendecomposition of the Hermitian mixing generator.
+    and the middle rotation to exp(-(beta/2)*(C_ij - C_ji)).  The lift is
+    block-diagonal, one spin-s/2 Wigner block per s = m_i + m_j (see
+    :func:`lift_plan`).
     """
     return lift_plan(basis, MeshPlan(basis.n, 0.0, (c,)))
 
@@ -168,7 +180,13 @@ def lift_coupler(basis: FockBasis, c: Coupler) -> np.ndarray:
 def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
     """Lift a whole adjacent-coupler plan: ordered product of coupler lifts.
 
-    The mixing-generator eigendecomposition is cached per mode pair, so a
+    A coupler on (i, i+1) acts on each group of s+1 states that share
+    s = m_i + m_{i+1} and the other occupations through one (s+1)x(s+1)
+    block that depends only on s and the angles.  Couplers are applied
+    last to first, each multiplying the running product from the left:
+    one matmul per s mixes the rows of all its groups at once, so a
+    coupler costs O(dim^2 * (p+1)) and only the (s+1)-dimensional blocks
+    are diagonalized.  The state tables are built once per mode pair, so a
     triangle plan touches only its n-1 adjacent pair types no matter how
     many couplers it contains.  The global phase enters once per photon.
     With ``return_info=True`` also returns ``{"offdiag_types", "pairs"}``
@@ -177,17 +195,20 @@ def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
     if basis.n != plan.n:
         raise ValidationError(f"basis is on {basis.n} modes but plan is on {plan.n}")
     _require_adjacent(plan, "lift_plan")
-    cache: dict[tuple[int, int], tuple] = {}
-    acc = np.eye(len(basis), dtype=np.complex128)
-    for c in plan.couplers:
-        pair = (c.i, c.j)
-        if pair not in cache:
-            cache[pair] = _mixing_eigensystem(basis, c.i, c.j)
-        w, v = cache[pair]
-        acc = acc @ _lift_from_eigensystem(basis, c, w, v)
+    dim = len(basis)
+    occ = np.array(basis.states)
+    tables: dict[int, list] = {}
+    eigs: dict[int, tuple] = {}
+    acc = np.eye(dim, dtype=np.complex128)
+    for c in reversed(plan.couplers):
+        if c.i not in tables:
+            tables[c.i] = _pair_tables(occ, c.i)
+        for s, idx in tables[c.i]:
+            rows = acc[idx].reshape(s + 1, -1)
+            acc[idx] = (_su2_block(s, c.angles, eigs) @ rows).reshape(idx.shape + (dim,))
     acc *= np.exp(1j * basis.p * plan.global_phase)
     if return_info:
-        info = {"offdiag_types": len(cache), "pairs": sorted(cache)}
+        info = {"offdiag_types": len(tables), "pairs": [(i, i + 1) for i in sorted(tables)]}
         return acc, info
     return acc
 

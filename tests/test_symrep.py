@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.sparse import issparse
 
 import radical_algebra
@@ -12,16 +13,19 @@ from sunmesh import (
     Coupler,
     EulerAngles,
     FockBasis,
+    MeshPlan,
     ResourceError,
     ValidationError,
     basis_dimension,
     canonicalize,
+    clements_decompose,
     lift_coupler,
     lift_plan,
     lift_via_permanents,
     lifted_generator,
     permanent_ryser,
     random_unitary_qr,
+    reconstruct,
     triangle_decompose,
 )
 
@@ -169,6 +173,42 @@ def test_lift_coupler_rejects_nonadjacent():
         lift_coupler(basis, Coupler(1, 3, EulerAngles(0, 1, 0), ARITY_FULL))
 
 
+@pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (2, 6), (3, 4), (5, 3)])
+def test_lift_coupler_matches_dense_expm_reference(n, p):
+    # diag(e^{i alpha d/2}) expm(-(beta/2)(G - G^T)) diag(e^{i gamma d/2}),
+    # d = m_i - m_{i+1}, built from the sparse generator independently of
+    # the block route
+    basis = FockBasis(n, p)
+    rng = np.random.default_rng(100 * n + p)
+    for i in range(1, n):
+        alpha, beta, gamma = rng.uniform(-math.pi, math.pi, size=3)
+        g = lifted_generator(basis, i, i + 1).toarray()
+        d = np.array([s[i - 1] - s[i] for s in basis.states], dtype=float)
+        want = (
+            np.exp(0.5j * alpha * d)[:, None]
+            * expm(-0.5 * beta * (g - g.T))
+            * np.exp(0.5j * gamma * d)[None, :]
+        )
+        c = Coupler(i, i + 1, EulerAngles(alpha, beta, gamma), ARITY_FULL)
+        assert np.abs(lift_coupler(basis, c) - want).max() < 1e-13, i
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_lift_plan_one_mode_is_the_photon_phase(p):
+    lifted = lift_plan(FockBasis(1, p), MeshPlan(1, 0.7, ()))
+    assert lifted.shape == (1, 1)
+    assert abs(lifted[0, 0] - np.exp(0.7j * p)) < 1e-13
+
+
+def test_lift_plan_of_clements_plan_matches_permanents():
+    # the rectangular mesh revisits pairs in a non-triangle order
+    plan = clements_decompose(random_unitary_qr(5, seed=46))
+    pairs = [(c.i, c.j) for c in plan.couplers]
+    assert pairs != sorted(pairs, reverse=True) and len(set(pairs)) < len(pairs)
+    lifted = lift_plan(FockBasis(5, 3), plan)
+    assert np.abs(lifted - lift_via_permanents(reconstruct(plan), 3)).max() < 1e-12
+
+
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_lift_routes_agree(n, p):
     m, plan = canonical_plan(n, seed=10 * n + p)
@@ -211,6 +251,22 @@ def test_lift_plan_caches_one_eigensystem_per_pair():
     assert info["offdiag_types"] == 3
     assert info["pairs"] == [(1, 2), (2, 3), (3, 4)]
     assert np.abs(lifted - lift_via_permanents(m, 2)).max() < 1e-8
+
+
+def test_lift_plan_diagonalizes_no_dim_sized_matrix(monkeypatch):
+    p = 4
+    m, plan = canonical_plan(7, seed=44)
+    eigh = np.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        if max(np.shape(a)) > p + 1:
+            raise AssertionError(f"eigh called on a {np.shape(a)} matrix")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    lifted = lift_plan(FockBasis(7, p), plan)
+    assert lifted.shape == (210, 210)
+    assert np.abs(lifted @ lifted.conj().T - np.eye(210)).max() < 1e-12
 
 
 def test_dimension_cap_is_enforced_and_overridable(monkeypatch):
