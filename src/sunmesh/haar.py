@@ -16,7 +16,10 @@ draws a whole slab per angle and multiplies the plans out with the batched
 coupler kernel of :mod:`sunmesh.mesh`; its fixed 1024-sample slabs, keyed by
 (seed, slab index), make results independent of thread count.
 :func:`validate_haar` compares any sampler variant against closed-form Haar
-laws and against an independently generated QR-based sample.
+laws and against an independently generated QR-based sample.  It reduces
+the same slabs one at a time, and computes its Kolmogorov-Smirnov p-values
+exactly in NumPy (:mod:`sunmesh._kstest`), choosing the method as Simard
+and L'Ecuyer do (J. Stat. Softw. 39(11), 2011), so it needs no SciPy.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from ._kstest import ks_one_sample, ks_two_sample
+from .errors import FormatError, ValidationError, check_int, finite_float
 from .linalg import _ginibre_qr, random_unitary_qr
 from .mesh import ARITY_CONSTRAINED, ARITY_FULL, Coupler, MeshPlan, _product, _triangle_pairs
 from .su2 import EulerAngles
@@ -172,24 +176,24 @@ def _chunk_unitaries(n: int, seed: int, chunk: int, size: int, beta_mode: str) -
     return np.moveaxis(_product(n, pairs, angles), -1, 0)
 
 
-def _run_chunks(n: int, count: int, fn, workers) -> np.ndarray:
-    out = np.empty((count, n, n), dtype=np.complex128)
+def _check_beta_mode(beta_mode: str) -> None:
+    if beta_mode not in (BETA_MODE_RECURSIVE, BETA_MODE_UNIFORM):
+        raise ValidationError(f"unknown beta_mode {beta_mode!r}")
+
+
+def _map_slabs(count: int, fn, workers):
+    """Yield ``fn(chunk, start, stop)`` for each fixed slab of ``count`` draws,
+    in slab order; with ``workers`` > 1 the slabs run on a thread pool."""
     spans = [
         (chunk, start, min(start + _CHUNK, count))
         for chunk, start in enumerate(range(0, count, _CHUNK))
     ]
-
-    def fill(span):
-        chunk, start, stop = span
-        out[start:stop] = fn(chunk, stop - start)
-
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, spans))
+            yield from pool.map(lambda span: fn(*span), spans)
     else:
         for span in spans:
-            fill(span)
-    return out
+            yield fn(*span)
 
 
 def sample_unitaries(
@@ -209,11 +213,14 @@ def sample_unitaries(
     check_int(n, "n", 2)
     check_int(count, "count", 1)
     check_int(seed, "seed", 0)
-    if beta_mode not in (BETA_MODE_RECURSIVE, BETA_MODE_UNIFORM):
-        raise ValidationError(f"unknown beta_mode {beta_mode!r}")
-    return _run_chunks(
-        n, count, lambda chunk, size: _chunk_unitaries(n, seed, chunk, size, beta_mode), workers
-    )
+    _check_beta_mode(beta_mode)
+    out = np.empty((count, n, n), dtype=np.complex128)
+
+    def fill(chunk, start, stop):
+        out[start:stop] = _chunk_unitaries(n, seed, chunk, stop - start, beta_mode)
+
+    list(_map_slabs(count, fill, workers))
+    return out
 
 
 SOURCE_MESH = "mesh"
@@ -235,25 +242,58 @@ def validate_haar(
     E|U_ij|^2 = 1/n within three standard errors; a KS test of |U_11|^2
     against the law P(|U_11|^2 > s) = (1-s)^(n-1); and left invariance,
     comparing |(V U)_11|^2 against |U_11|^2 for a fixed random V.  The
-    ``source`` selects the mesh sampler or the independent QR oracle.
-    """
-    from scipy.stats import ks_2samp, kstest
+    ``source`` selects the mesh sampler or the independent QR oracle.  A
+    check passes when its p-value exceeds ``significance``, which must lie
+    in (0, 1).
 
+    The draws are made and reduced one 1024-sample slab at a time, keeping
+    only per-entry sums and sums of squares and the two vectors of
+    |U_11|^2 and |(V U)_11|^2, so the report does not depend on
+    ``workers``.  The p-values are exact: the one-sample law P(D_N >= d) by
+    the method choice of Simard and L'Ecuyer (J. Stat. Softw. 39(11),
+    2011), and the two-sample one by lattice-path counting up to 10000
+    samples and by that law at N = round(samples/2) above (see
+    :mod:`sunmesh._kstest`).
+    """
     check_int(n, "n", 2)
     check_int(samples, "samples", 1000)
     check_int(seed, "seed", 0)
+    try:
+        significance = finite_float(significance, "significance")
+    except FormatError as exc:
+        raise ValidationError(str(exc)) from None
+    if not 0.0 < significance < 1.0:
+        raise ValidationError(f"significance must lie in (0, 1), got {significance}")
     if source == SOURCE_MESH:
-        u = sample_unitaries(n, samples, seed, beta_mode=beta_mode, workers=workers)
+        _check_beta_mode(beta_mode)
+
+        def draw(chunk, size):
+            return _chunk_unitaries(n, seed, chunk, size, beta_mode)
+
     elif source == SOURCE_QR:
-        u = _run_chunks(
-            n, samples, lambda chunk, size: _ginibre_qr(_slab_rng(seed, chunk), n, (size,)), workers
-        )
+
+        def draw(chunk, size):
+            return _ginibre_qr(_slab_rng(seed, chunk), n, (size,))
+
     else:
         raise ValidationError(f"unknown source {source!r}")
 
-    absq = np.abs(u) ** 2
-    mean = absq.mean(axis=0)
-    stderr = absq.std(axis=0, ddof=1) / math.sqrt(samples)
+    v1 = random_unitary_qr(n, seed + 1)[0]
+    s11, w11 = np.empty(samples), np.empty(samples)
+
+    def reduce_slab(chunk, start, stop):
+        u = draw(chunk, stop - start)
+        absq = np.abs(u) ** 2
+        s11[start:stop] = absq[:, 0, 0]
+        w11[start:stop] = np.abs(u[:, :, 0] @ v1) ** 2  # (V U)_11 from row 1 of V alone
+        return absq.sum(axis=0), (absq * absq).sum(axis=0)
+
+    total, total_sq = np.zeros((n, n)), np.zeros((n, n))
+    for part, part_sq in _map_slabs(samples, reduce_slab, workers):
+        total += part
+        total_sq += part_sq
+    mean = total / samples
+    stderr = np.sqrt((total_sq - total * mean) / (samples - 1)) / math.sqrt(samples)
     max_sigma = float(np.max(np.abs(mean - 1.0 / n) / stderr))
     moments = {
         "target": 1.0 / n,
@@ -263,22 +303,11 @@ def validate_haar(
         "passed": bool(max_sigma <= 3.0),
     }
 
-    s11 = absq[:, 0, 0]
-    law = kstest(s11, lambda s: 1.0 - (1.0 - s) ** (n - 1))
-    ks = {
-        "stat": float(law.statistic),
-        "pvalue": float(law.pvalue),
-        "passed": bool(law.pvalue > significance),
-    }
+    stat, pvalue = ks_one_sample(s11, lambda s: 1.0 - (1.0 - s) ** (n - 1))
+    ks = {"stat": stat, "pvalue": pvalue, "passed": bool(pvalue > significance)}
 
-    v = random_unitary_qr(n, seed + 1)
-    w11 = np.abs(u[:, :, 0] @ v[0]) ** 2  # (V U)_11 from row 1 of V alone
-    two = ks_2samp(w11, s11)
-    invariance = {
-        "stat": float(two.statistic),
-        "pvalue": float(two.pvalue),
-        "passed": bool(two.pvalue > significance),
-    }
+    stat, pvalue = ks_two_sample(w11, s11)
+    invariance = {"stat": stat, "pvalue": pvalue, "passed": bool(pvalue > significance)}
 
     return {
         "n": n,

@@ -312,6 +312,27 @@ def test_lift_path_loads_no_scipy(tmp_path):
     assert json.loads(Path(out_path).read_text())["provenance"]["dimension"] == 10
 
 
+def test_validate_haar_path_loads_no_scipy(tmp_path):
+    # the KS p-values are computed in NumPy, not by scipy.stats
+    src = str(Path(sunmesh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out_path = str(tmp_path / "report.json")
+    code = (
+        "import sys\n"
+        "from sunmesh.cli import main\n"
+        f"argv = ['validate-haar', '--n', '3', '--samples', '2000', '--output', {out_path!r}]\n"
+        "assert main(argv) == 0\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert json.loads(Path(out_path).read_text())["samples"] == 2000
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         ["sunmesh", "lift", "--n", "9", "--p", "5"], capture_output=True, text=True

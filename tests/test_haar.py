@@ -248,3 +248,56 @@ def test_validate_haar_report_shape():
 def test_validate_haar_requires_enough_samples():
     with pytest.raises(ValidationError):
         validate_haar(3, 999)
+
+
+@pytest.mark.parametrize("significance", [-1, 0, 1, 2, float("nan"), float("inf"), "0.01"])
+def test_validate_haar_rejects_significance_outside_unit_interval(significance):
+    with pytest.raises(ValidationError):
+        validate_haar(3, 1000, significance=significance)
+
+
+def test_validate_haar_report_is_independent_of_workers():
+    # 3000 draws are two full slabs and a partial one
+    reports = [validate_haar(3, 3000, seed=6, workers=w) for w in (None, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+    reports = [validate_haar(4, 2100, seed=1, source="qr", workers=w) for w in (None, 3)]
+    assert reports[0] == reports[1]
+
+
+def test_validate_haar_moments_match_the_full_sample():
+    n, samples = 4, 3000
+    report = validate_haar(n, samples, seed=3)
+    absq = np.abs(sample_unitaries(n, samples, seed=3)) ** 2
+    mean = absq.mean(axis=0)
+    stderr = absq.std(axis=0, ddof=1) / math.sqrt(samples)
+    assert np.allclose(report["moments"]["mean"], mean, rtol=1e-13, atol=0.0)
+    assert np.allclose(report["moments"]["stderr"], stderr, rtol=1e-12, atol=0.0)
+    sigma = np.max(np.abs(mean - 1.0 / n) / stderr)
+    assert abs(report["moments"]["max_sigma"] - sigma) <= 1e-10
+
+
+def test_validate_haar_memory_does_not_grow_with_the_sample_array():
+    import tracemalloc
+
+    n = 8
+    peaks = []
+    validate_haar(n, 1000)
+    for samples in (5000, 20000):
+        tracemalloc.start()
+        try:
+            validate_haar(n, samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # holding the (samples, n, n) draws alone would add n*n*16 bytes per sample
+    assert (peaks[1] - peaks[0]) / 15000 < n * n * 16 / 4
+
+
+def test_validate_haar_invariance_tail_with_vanishing_term_is_zero():
+    # D = 0.5703 with n = 10000 per side: n * (1 - D) is an integer, so the
+    # last Birnbaum-Tingey term vanishes; a NaN there must not turn into p = 1
+    report = validate_haar(8, 20000, seed=1, beta_mode="uniform")
+    assert report["invariance"]["stat"] == 0.5703
+    assert report["invariance"]["pvalue"] == 0.0
+    assert report["invariance"]["passed"] is False
+    assert report["passed"] is False
