@@ -10,7 +10,7 @@ Every JSON document carries a provenance header echoing the command name
 and the numerical settings (tol, seed) that produced it.  Exit codes:
 
 * 0 - success
-* 1 - I/O or parse failure
+* 1 - I/O, parse or usage failure (unknown option, malformed value)
 * 2 - tolerance failure
 * 3 - validation failure (includes a failed statistical validation)
 * 4 - resource limit (dimension caps, permanent size, overflow)
@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import decompose as _dec
-from .errors import FormatError, ResourceError, ToleranceError, ValidationError
+from .errors import FormatError, ResourceError, ToleranceError, ValidationError, check_int
 from .haar import HaarSpec, sample_coset, sample_haar, validate_haar
 from .linalg import matrix_from_json, matrix_to_json
 from .mesh import depth, parameter_count, plan_from_json, plan_to_json, reconstruct, render
@@ -40,7 +40,7 @@ _EXIT_RESOURCE = 4
 _EPILOG = """\
 exit codes:
   0  success
-  1  I/O or parse failure
+  1  I/O, parse or usage failure
   2  tolerance failure
   3  validation failure
   4  resource limit exceeded
@@ -116,7 +116,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def _compare_rows(m: np.ndarray, tol: float, loss_db: float) -> list[dict]:
-    n = m.shape[0]
+    n = check_int(m.shape[0], "n", 2)
     plans = {
         "triangle": _dec.canonicalize(_dec.triangle_decompose(m, tol), m, tol),
         "reck": _dec.reck_decompose(m, tol),
@@ -124,13 +124,7 @@ def _compare_rows(m: np.ndarray, tol: float, loss_db: float) -> list[dict]:
     }
     rows = []
     for scheme, plan in plans.items():
-        if scheme in ("triangle", "reck"):
-            ledger = _dec.generator_ledger(scheme, n)
-            offdiag = ledger["offdiag_pairs"]
-            savings = ledger["savings_vs_reck"]
-        else:
-            offdiag = len({(c.i, c.j) for c in plan.couplers})
-            savings = n * (n - 1) // 2 - offdiag
+        offdiag = len({(c.i, c.j) for c in plan.couplers})
         report = _dec.loss_analysis(plan, loss_db)
         rows.append(
             {
@@ -139,7 +133,7 @@ def _compare_rows(m: np.ndarray, tol: float, loss_db: float) -> list[dict]:
                 "depth": depth(plan),
                 "parameters": parameter_count(plan),
                 "offdiag_generator_types": offdiag,
-                "generator_savings": savings,
+                "generator_savings": n * (n - 1) // 2 - offdiag,
                 "max_mode_couplers": max(r["worst_couplers"] for r in report),
                 "worst_loss_db": max(r["worst_loss_db"] for r in report),
             }
@@ -201,7 +195,6 @@ def cmd_validate_haar(args) -> int:
         seed=args.seed,
         source=args.source,
         beta_mode=args.beta_mode,
-        workers=args.threads,
     )
     _emit_json({"provenance": _provenance(args), **report}, args.output)
     return _EXIT_OK if report["passed"] else _EXIT_VALIDATION
@@ -221,7 +214,7 @@ def cmd_lift(args) -> int:
         n, route = plan.n, "generators"
     else:
         m = matrix_from_json(obj)
-        lifted = lift_via_permanents(m, args.p, tol=args.tol, workers=args.threads)
+        lifted = lift_via_permanents(m, args.p, tol=args.tol)
         n, route = m.shape[0], "permanents"
     provenance = {
         **_provenance(args),
@@ -243,8 +236,16 @@ def cmd_render(args) -> int:
     return _EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`FormatError` (exit 1); argparse's own
+    exit status 2 would read as a tolerance failure."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sunmesh",
         description="Triangular mesh factorizations of unitary matrices.",
         epilog=_EPILOG,
@@ -285,14 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--source", choices=("mesh", "qr"), default="mesh")
     p.add_argument("--beta-mode", choices=("recursive", "uniform"), default="recursive")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_validate_haar)
 
     p = sub.add_parser("lift", parents=[common], help="lift a plan or matrix to p photons")
     p.add_argument("input", nargs="?", help="plan or matrix JSON path; omit to print the dimension")
     p.add_argument("--n", type=int, help="mode count for the dimension-only form")
     p.add_argument("--p", type=int, default=1, help="photon number (default 1)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("render", parents=[common], help="draw a plan as ASCII or SVG")
@@ -304,9 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except FormatError as exc:
         _note(f"error: {exc}")

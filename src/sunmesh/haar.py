@@ -13,8 +13,9 @@ so plans are reproducible at the bit level from a counter-based stream.
 Every sampler draws its angles the same way, coupler by coupler in plan
 order: beta, alpha, then gamma for chain heads.  :func:`sample_unitaries`
 draws a whole slab per angle and multiplies the plans out with the batched
-coupler kernel of :mod:`sunmesh.mesh`; its fixed 1024-sample slabs, keyed by
-(seed, slab index), make results independent of thread count.
+coupler kernel of :mod:`sunmesh.mesh`; its fixed 1024-sample slabs are keyed
+by (seed, slab index), so a shorter run is a prefix of a longer one with the
+same seed.
 :func:`validate_haar` compares any sampler variant against closed-form Haar
 laws and against an independently generated QR-based sample.  It reduces
 the same slabs one at a time, and computes its Kolmogorov-Smirnov p-values
@@ -25,7 +26,6 @@ and L'Ecuyer do (J. Stat. Softw. 39(11), 2011), so it needs no SciPy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,19 +181,10 @@ def _check_beta_mode(beta_mode: str) -> None:
         raise ValidationError(f"unknown beta_mode {beta_mode!r}")
 
 
-def _map_slabs(count: int, fn, workers):
-    """Yield ``fn(chunk, start, stop)`` for each fixed slab of ``count`` draws,
-    in slab order; with ``workers`` > 1 the slabs run on a thread pool."""
-    spans = [
-        (chunk, start, min(start + _CHUNK, count))
-        for chunk, start in enumerate(range(0, count, _CHUNK))
-    ]
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(lambda span: fn(*span), spans)
-    else:
-        for span in spans:
-            yield fn(*span)
+def _slabs(count: int):
+    """Yield ``(chunk, start, stop)`` for each fixed slab of ``count`` draws."""
+    for chunk, start in enumerate(range(0, count, _CHUNK)):
+        yield chunk, start, min(start + _CHUNK, count)
 
 
 def sample_unitaries(
@@ -201,25 +192,20 @@ def sample_unitaries(
     count: int,
     seed: int = 0,
     beta_mode: str = BETA_MODE_RECURSIVE,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Vectorized batch of group samples, shape (count, n, n).
 
     ``beta_mode="uniform"`` replaces the correct middle-angle law with a
     flat one and exists purely as a negative control for the statistical
-    validation.  Results depend only on (n, count, seed, beta_mode), never
-    on ``workers``.
+    validation.  Results depend only on (n, count, seed, beta_mode).
     """
     check_int(n, "n", 2)
     check_int(count, "count", 1)
     check_int(seed, "seed", 0)
     _check_beta_mode(beta_mode)
     out = np.empty((count, n, n), dtype=np.complex128)
-
-    def fill(chunk, start, stop):
+    for chunk, start, stop in _slabs(count):
         out[start:stop] = _chunk_unitaries(n, seed, chunk, stop - start, beta_mode)
-
-    list(_map_slabs(count, fill, workers))
     return out
 
 
@@ -233,7 +219,6 @@ def validate_haar(
     seed: int = 0,
     source: str = SOURCE_MESH,
     beta_mode: str = BETA_MODE_RECURSIVE,
-    workers: int | None = None,
     significance: float = 0.01,
 ) -> dict:
     """Statistical report comparing a sampler against exact Haar laws.
@@ -242,18 +227,18 @@ def validate_haar(
     E|U_ij|^2 = 1/n within three standard errors; a KS test of |U_11|^2
     against the law P(|U_11|^2 > s) = (1-s)^(n-1); and left invariance,
     comparing |(V U)_11|^2 against |U_11|^2 for a fixed random V.  The
-    ``source`` selects the mesh sampler or the independent QR oracle.  A
-    check passes when its p-value exceeds ``significance``, which must lie
-    in (0, 1).
+    ``source`` selects the mesh sampler or the independent QR oracle; the
+    oracle has no middle-angle law, so it takes only the default
+    ``beta_mode``.  A check passes when its p-value exceeds
+    ``significance``, which must lie in (0, 1).
 
     The draws are made and reduced one 1024-sample slab at a time, keeping
     only per-entry sums and sums of squares and the two vectors of
-    |U_11|^2 and |(V U)_11|^2, so the report does not depend on
-    ``workers``.  The p-values are exact: the one-sample law P(D_N >= d) by
-    the method choice of Simard and L'Ecuyer (J. Stat. Softw. 39(11),
-    2011), and the two-sample one by lattice-path counting up to 10000
-    samples and by that law at N = round(samples/2) above (see
-    :mod:`sunmesh._kstest`).
+    |U_11|^2 and |(V U)_11|^2; the sums are added in slab order.  The
+    p-values are exact: the one-sample law P(D_N >= d) by the method choice
+    of Simard and L'Ecuyer (J. Stat. Softw. 39(11), 2011), and the
+    two-sample one by lattice-path counting up to 10000 samples and by that
+    law at N = round(samples/2) above (see :mod:`sunmesh._kstest`).
     """
     check_int(n, "n", 2)
     check_int(samples, "samples", 1000)
@@ -264,34 +249,25 @@ def validate_haar(
         raise ValidationError(str(exc)) from None
     if not 0.0 < significance < 1.0:
         raise ValidationError(f"significance must lie in (0, 1), got {significance}")
-    if source == SOURCE_MESH:
-        _check_beta_mode(beta_mode)
-
-        def draw(chunk, size):
-            return _chunk_unitaries(n, seed, chunk, size, beta_mode)
-
-    elif source == SOURCE_QR:
-
-        def draw(chunk, size):
-            return _ginibre_qr(_slab_rng(seed, chunk), n, (size,))
-
-    else:
+    if source not in (SOURCE_MESH, SOURCE_QR):
         raise ValidationError(f"unknown source {source!r}")
+    _check_beta_mode(beta_mode)
+    if source == SOURCE_QR and beta_mode != BETA_MODE_RECURSIVE:
+        raise ValidationError(f"source 'qr' has no beta_mode {beta_mode!r}; only 'recursive'")
 
     v1 = random_unitary_qr(n, seed + 1)[0]
     s11, w11 = np.empty(samples), np.empty(samples)
-
-    def reduce_slab(chunk, start, stop):
-        u = draw(chunk, stop - start)
+    total, total_sq = np.zeros((n, n)), np.zeros((n, n))
+    for chunk, start, stop in _slabs(samples):
+        if source == SOURCE_QR:
+            u = _ginibre_qr(_slab_rng(seed, chunk), n, (stop - start,))
+        else:
+            u = _chunk_unitaries(n, seed, chunk, stop - start, beta_mode)
         absq = np.abs(u) ** 2
         s11[start:stop] = absq[:, 0, 0]
         w11[start:stop] = np.abs(u[:, :, 0] @ v1) ** 2  # (V U)_11 from row 1 of V alone
-        return absq.sum(axis=0), (absq * absq).sum(axis=0)
-
-    total, total_sq = np.zeros((n, n)), np.zeros((n, n))
-    for part, part_sq in _map_slabs(samples, reduce_slab, workers):
-        total += part
-        total_sq += part_sq
+        total += absq.sum(axis=0)
+        total_sq += (absq * absq).sum(axis=0)
     mean = total / samples
     stderr = np.sqrt((total_sq - total * mean) / (samples - 1)) / math.sqrt(samples)
     max_sigma = float(np.max(np.abs(mean - 1.0 / n) / stderr))

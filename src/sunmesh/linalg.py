@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, finite_float
+from .errors import FormatError, ValidationError, check_int, finite_float
 
 __all__ = [
     "as_complex_matrix",
@@ -83,8 +83,8 @@ def random_unitary_qr(n: int, seed: int = 0) -> np.ndarray:
     fixes the phase ambiguity of QR, which is exactly what makes the output
     Haar rather than merely unitary.
     """
-    if n < 1:
-        raise ValidationError(f"dimension must be positive, got {n}")
+    check_int(n, "n", 1)
+    check_int(seed, "seed", 0)
     return _ginibre_qr(np.random.Generator(np.random.Philox(seed)), n)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -241,16 +240,13 @@ def permanent_ryser(a) -> complex:
     return complex(total) / 2 ** (p - 1)
 
 
-def lift_via_permanents(
-    u, p: int, tol: float = 1e-10, workers: int | None = None
-) -> np.ndarray:
+def lift_via_permanents(u, p: int, tol: float = 1e-10) -> np.ndarray:
     """Lift a unitary to the p-photon basis entry by entry via permanents.
 
     Entry (m', m) equals per(U[m', m]) / sqrt(prod m'_i! * prod m_j!) where
     U[m', m] repeats row i of U m'_i times and column j m_j times.  The
     basis ordering matches :class:`FockBasis`, so this output is directly
-    comparable with :func:`lift_plan`.  Rows may be evaluated in parallel;
-    the result never depends on ``workers``.
+    comparable with :func:`lift_plan`.
     """
     m = as_complex_matrix(u)
     if not is_unitary(m, tol):
@@ -266,17 +262,8 @@ def lift_via_permanents(
     expansions = [np.repeat(np.arange(basis.n), s) for s in basis.states]
     inv_norms = [1.0 / math.sqrt(math.prod(map(math.factorial, s))) for s in basis.states]
     out = np.empty((dim, dim), dtype=np.complex128)
-
-    def fill_row(r: int) -> None:
+    for r in range(dim):
         rows = m[expansions[r], :]
         for c in range(dim):
-            sub = rows[:, expansions[c]]
-            out[r, c] = permanent_ryser(sub) * inv_norms[r] * inv_norms[c]
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(dim)))
-    else:
-        for r in range(dim):
-            fill_row(r)
+            out[r, c] = permanent_ryser(rows[:, expansions[c]]) * inv_norms[r] * inv_norms[c]
     return out

@@ -200,6 +200,39 @@ def test_validate_haar_pass_and_fail(capsys):
     assert json.loads(out)["passed"] is False
 
 
+def test_validate_haar_qr_source_rejects_beta_mode(capsys):
+    argv = ["validate-haar", "--n", "3", "--samples", "1000", "--source", "qr"]
+    code, out, err = run_cli(argv + ["--beta-mode", "uniform"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "beta_mode" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "m.json", "--bogus"],
+        ["lift", "--n", "abc"],
+        ["lift", "--n", "3", "--p", "2", "--threads", "2"],
+        ["validate-haar", "--n", "3", "--threads", "2"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    # argparse would exit 2, which the CLI reserves for tolerance failures
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: sunmesh")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", "--help"])
+    assert exc.value.code == 0
+    assert "--p" in capsys.readouterr().out
+
+
 def test_lift_dimension_only(capsys):
     code, out, _ = run_cli(["lift", "--n", "9", "--p", "5"], capsys)
     assert code == 0
@@ -273,13 +306,15 @@ def test_output_flag_writes_file(tmp_path, capsys):
 
 def test_cli_import_loads_no_scipy():
     # SciPy is imported only by the functions that use it, so start-up of
-    # every subcommand stays free of scipy.stats and scipy.sparse.
+    # every subcommand stays free of scipy.stats and scipy.sparse; nothing
+    # runs on a thread pool, so concurrent.futures is not loaded either.
     src = str(Path(sunmesh.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, sunmesh.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules])"
+        "print([m for m in ('scipy.stats', 'scipy.sparse', 'concurrent.futures') "
+        "if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60

@@ -192,14 +192,6 @@ def test_sample_unitaries_shape_dtype_unitarity():
         assert np.linalg.norm(u[k].conj().T @ u[k] - eye) < 1e-12
 
 
-def test_sample_unitaries_worker_count_never_changes_results():
-    a = sample_unitaries(4, 2500, seed=5)
-    b = sample_unitaries(4, 2500, seed=5, workers=3)
-    c = sample_unitaries(4, 2500, seed=5, workers=8)
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, c)
-
-
 def test_sample_unitaries_chunks_are_stable_under_count_growth():
     # chunk keying by (seed, slab) makes shorter runs prefixes of longer ones
     a = sample_unitaries(3, 1024, seed=9)
@@ -256,12 +248,14 @@ def test_validate_haar_rejects_significance_outside_unit_interval(significance):
         validate_haar(3, 1000, significance=significance)
 
 
-def test_validate_haar_report_is_independent_of_workers():
-    # 3000 draws are two full slabs and a partial one
-    reports = [validate_haar(3, 3000, seed=6, workers=w) for w in (None, 2, 3)]
-    assert reports[0] == reports[1] == reports[2]
-    reports = [validate_haar(4, 2100, seed=1, source="qr", workers=w) for w in (None, 3)]
-    assert reports[0] == reports[1]
+@pytest.mark.parametrize(
+    "source, beta_mode",
+    [("mesh", "bogus"), ("qr", "bogus"), ("qr", "uniform"), ("nope", "recursive")],
+)
+def test_validate_haar_rejects_unknown_source_or_beta_mode(source, beta_mode):
+    # the QR oracle has no middle-angle law to replace, so it takes only the default
+    with pytest.raises(ValidationError):
+        validate_haar(3, 1000, source=source, beta_mode=beta_mode)
 
 
 def test_validate_haar_moments_match_the_full_sample():

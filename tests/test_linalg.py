@@ -87,6 +87,12 @@ def test_random_unitary_qr_is_unitary_and_seeded():
     assert not np.array_equal(u, random_unitary_qr(6, seed=4))
 
 
+@pytest.mark.parametrize("n, seed", [(0, 0), (2.5, 0), (True, 0), ("3", 0), (3, 1.5), (3, -1)])
+def test_random_unitary_qr_rejects_bad_inputs(n, seed):
+    with pytest.raises(ValidationError):
+        random_unitary_qr(n, seed=seed)
+
+
 def test_random_unitary_qr_first_entry_law():
     # P(|U_11|^2 > s) = (1-s)^(n-1) implies E|U_11|^2 = 1/n.
     n, count = 4, 4000

@@ -344,13 +344,6 @@ def test_lift_via_permanents_validation():
         lift_via_permanents(np.eye(2), 21)
 
 
-def test_lift_via_permanents_worker_independent():
-    u = random_unitary_qr(4, seed=92)
-    assert np.array_equal(
-        lift_via_permanents(u, 2), lift_via_permanents(u, 2, workers=4)
-    )
-
-
 def test_lift_plan_generator_economy_at_n9_p5():
     # 36 couplers but only the 8 nearest-neighbour generator pairs, at the
     # full 1287-dimensional five-photon space
