@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -236,6 +237,17 @@ def cmd_render(args) -> int:
     return _EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` values: finite and positive, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as :class:`FormatError` (exit 1); argparse's own
     exit status 2 would read as a tolerance failure."""
@@ -254,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance (default 1e-10)")
+    common.add_argument("--tol", type=_tolerance, default=1e-10, help="numerical tolerance (default 1e-10)")
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--output", help="output path (default stdout)")
 

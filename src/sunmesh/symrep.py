@@ -18,6 +18,7 @@ which takes well under a second.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -153,15 +154,16 @@ def _pair_tables(occ: np.ndarray, i: int) -> list[tuple[int, np.ndarray]]:
 def _su2_block(s: int, angles, eigs: dict) -> np.ndarray:
     """The spin-s/2 Wigner D-matrix of a coupler on ``FockBasis(2, s)``.
 
-    ``eigs`` caches the eigensystem of i*(C_12 - C_21) for each s.
+    ``eigs`` caches, for each s, the eigensystem of i*(C_12 - C_21), the
+    conjugate transpose of its eigenvectors and the weights m_1 - m_2.
     """
     if s not in eigs:
         k = np.arange(1, s + 1)
         g = np.diag(np.sqrt((s + 1 - k) * k), 1)
-        eigs[s] = np.linalg.eigh(1j * (g - g.T))
-    w, v = eigs[s]
-    d = np.arange(s, -s - 1, -2)
-    mixing = (v * np.exp(0.5j * angles.beta * w)) @ v.conj().T
+        w, v = np.linalg.eigh(1j * (g - g.T))
+        eigs[s] = w, v, v.conj().T, np.arange(s, -s - 1, -2)
+    w, v, vh, d = eigs[s]
+    mixing = (v * np.exp(0.5j * angles.beta * w)) @ vh
     return np.exp(0.5j * angles.alpha * d)[:, None] * mixing * np.exp(0.5j * angles.gamma * d)
 
 
@@ -212,6 +214,23 @@ def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
     return acc
 
 
+@functools.lru_cache(maxsize=None)
+def _glynn_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign vectors of Glynn's sum over k columns, d_1 = +1, built once per k.
+
+    Returns read-only ``(signs, weights)``: column n of the (k, 2^(k-1))
+    complex ``signs`` gives column j > 1 the sign -1 when bit j-2 of n is
+    set, and ``weights[n]`` is prod_j d_j.  A (p, k) block times ``signs``
+    is the table of its signed row sums; only the additions round.
+    """
+    n = np.arange(2 ** (k - 1))
+    signs = np.ones((k, n.size), dtype=np.complex128)
+    signs[1:] = 1.0 - 2.0 * ((n >> np.arange(k - 1)[:, None]) & 1)
+    weights = signs.real.prod(axis=0)
+    signs.flags.writeable = weights.flags.writeable = False
+    return signs, weights
+
+
 def permanent_ryser(a) -> complex:
     """Permanent of a square matrix by inclusion-exclusion over columns.
 
@@ -219,24 +238,26 @@ def permanent_ryser(a) -> complex:
     prod_i sum_j d_j a_ij over sign vectors d with d_1 = +1.  It costs the
     same O(2^p * p) as Ryser's sum over column subsets, but its signed row
     sums cancel far less: per(ones(20)) comes out within 2e-13 of 20!,
-    where Ryser's sum misses by 2e-7.  The first _BLOCK columns form one
-    table of row sums built in a few vectorized steps; each sign pattern
-    of the remaining columns shifts that table once.  Sizes above 20 are
-    refused.
+    where Ryser's sum misses by 2e-7.  The sign vectors of the first
+    _BLOCK columns and their products are built once per size and cached
+    (:func:`_glynn_table`), so a call takes the (p, 2^(k-1)) row sums of
+    its first k = min(p, _BLOCK) columns in one matmul, a product over rows
+    and one weighted dot; each sign pattern of the remaining columns shifts
+    those sums once.
+    Sizes above 20 are refused.
     """
     m = as_complex_matrix(a)
     p = m.shape[0]
     if p > _PERMANENT_SIZE_CAP:
         raise ResourceError(f"permanent size {p} exceeds cap {_PERMANENT_SIZE_CAP}")
     low = min(p, _BLOCK)
-    sums = m[:, :1].T
-    signs = np.ones(1)
-    for j in range(1, low):
-        sums = np.concatenate([sums + m[:, j], sums - m[:, j]])
-        signs = np.concatenate([signs, -signs])
+    signs, weights = _glynn_table(low)
+    sums = m[:, :low] @ signs
+    if p == low:
+        return complex(weights @ np.multiply.reduce(sums)) / 2 ** (p - 1)
     total = 0j
     for d in itertools.product((1.0, -1.0), repeat=p - low):
-        total += math.prod(d) * (signs @ np.prod(sums + m[:, low:] @ d, axis=1))
+        total += math.prod(d) * (weights @ np.multiply.reduce(sums + (m[:, low:] @ d)[:, None]))
     return complex(total) / 2 ** (p - 1)
 
 
@@ -260,10 +281,10 @@ def lift_via_permanents(u, p: int, tol: float = 1e-10) -> np.ndarray:
         return np.ones((1, 1), dtype=np.complex128)
 
     expansions = [np.repeat(np.arange(basis.n), s) for s in basis.states]
-    inv_norms = [1.0 / math.sqrt(math.prod(map(math.factorial, s))) for s in basis.states]
+    columns = [m[:, e] for e in expansions]
     out = np.empty((dim, dim), dtype=np.complex128)
-    for r in range(dim):
-        rows = m[expansions[r], :]
-        for c in range(dim):
-            out[r, c] = permanent_ryser(rows[:, expansions[c]]) * inv_norms[r] * inv_norms[c]
-    return out
+    for r, rows in enumerate(expansions):
+        for c, cols in enumerate(columns):
+            out[r, c] = permanent_ryser(cols[rows])
+    inv_norms = 1.0 / np.sqrt([math.prod(map(math.factorial, s)) for s in basis.states])
+    return out * inv_norms[:, None] * inv_norms

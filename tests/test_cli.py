@@ -226,6 +226,19 @@ def test_usage_errors_exit_1(argv, capsys):
     assert err.startswith("error: sunmesh")
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "abc"])
+@pytest.mark.parametrize("command", [["lift", "--p", "2"], ["decompose"]])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    # an infinite tol would accept diag(1, 2) as unitary and write "tol":
+    # Infinity, which is not JSON; nan and negative values would read as a
+    # validation failure of the input
+    mpath = write_matrix(tmp_path, np.diag([1.0, 2.0]))
+    code, out, err = run_cli([command[0], mpath, *command[1:], "--tol", tol], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: sunmesh") and "--tol" in err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lift", "--help"])

@@ -319,6 +319,69 @@ def test_permanent_closed_forms_beyond_one_table():
     assert abs(permanent_ryser(np.outer(u, v)) - want) <= 1e-10 * abs(want)
 
 
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("ka, kb", [(6, 6), (7, 6), (10, 10)])
+def test_permanent_of_direct_sum_is_product(ka, kb):
+    # 12 columns fit one sign table; 13 and 20 also loop over the rest
+    rng = np.random.default_rng(100 + ka + kb)
+    a, b = random_complex(rng, (ka, ka)), random_complex(rng, (kb, kb))
+    block = np.zeros((ka + kb, ka + kb), dtype=np.complex128)
+    block[:ka, :ka], block[ka:, ka:] = a, b
+    want = permanent_ryser(a) * permanent_ryser(b)
+    assert abs(permanent_ryser(block) - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_permanent_rank_one_closed_form(k):
+    rng = np.random.default_rng(200 + k)
+    u, v = random_complex(rng, (2, k))
+    want = math.factorial(k) * np.prod(u) * np.prod(v)
+    assert abs(permanent_ryser(np.outer(u, v)) - want) <= 1e-10 * abs(want)
+
+
+def test_permanent_sign_tables_are_cached_and_read_only():
+    from sunmesh import symrep
+
+    rng = np.random.default_rng(300)
+    for k in (1, 4, 12):
+        table, weights = symrep._glynn_table(k)
+        assert symrep._glynn_table(k)[0] is table
+        assert table.shape == (k, 2 ** (k - 1))
+        for arr in (table, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # the table gives the signed row sums of the concatenation build
+        # d_1 = +1, then [sums + a_j, sums - a_j] for each further column j
+        a = random_complex(rng, (k, k))
+        sums, signs = a[:, :1].T, np.ones(1)
+        for j in range(1, k):
+            sums = np.concatenate([sums + a[:, j], sums - a[:, j]])
+            signs = np.concatenate([signs, -signs])
+        assert np.allclose(a @ table, sums.T, rtol=0, atol=1e-12)
+        assert np.array_equal(weights, signs)
+    for k in (4, 12, 15):
+        a = random_complex(rng, (k, k))
+        first = permanent_ryser(a)
+        assert all(permanent_ryser(a) == first for _ in range(3))
+
+
+def test_lift_via_permanents_entries_match_brute_force():
+    u = random_unitary_qr(3, seed=92)
+    basis = FockBasis(3, 4)
+    lifted = lift_via_permanents(u, 4)
+    rng = np.random.default_rng(93)
+    for r, c in rng.integers(len(basis), size=(20, 2)):
+        out_state, in_state = basis.states[r], basis.states[c]
+        rows = np.repeat(np.arange(3), out_state)
+        cols = np.repeat(np.arange(3), in_state)
+        norm = math.sqrt(math.prod(map(math.factorial, out_state + in_state)))
+        want = permanent_brute(u[np.ix_(rows, cols)]) / norm
+        assert abs(lifted[r, c] - want) <= 1e-12 * abs(want), (r, c)
+
+
 def test_permanent_size_cap():
     with pytest.raises(ResourceError):
         permanent_ryser(np.eye(21))
