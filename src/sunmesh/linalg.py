@@ -34,9 +34,19 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def _check_tol(tol) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def is_unitary(m, tol: float = 1e-10) -> bool:
-    """True when ``m.conj().T @ m`` is the identity within Frobenius norm tol."""
+    """True when ``m.conj().T @ m`` is the identity within Frobenius norm tol.
+
+    ``tol`` must be a finite number >= 0, else :class:`ValidationError`;
+    the library entry points that take a ``tol`` check it here.
+    """
     a = as_complex_matrix(m)
+    _check_tol(tol)
     n = a.shape[0]
     return float(np.linalg.norm(a.conj().T @ a - np.eye(n))) <= tol
 
@@ -68,6 +78,7 @@ def expm_skew_hermitian(h, tol: float = 1e-10) -> np.ndarray:
     rounding, independent of the norm of ``h``.
     """
     a = as_complex_matrix(h)
+    _check_tol(tol)
     if float(np.linalg.norm(a + a.conj().T)) > tol:
         raise ValidationError("expm_skew_hermitian requires h = -h.conj().T")
     w, v = np.linalg.eigh(1j * a)

@@ -5,10 +5,14 @@ Fock basis and multiplies the lifts in plan order.  A coupler on modes
 (i, i+1) conserves m_i + m_{i+1} = s and every other occupation, so its
 lift is block-diagonal: one (s+1)x(s+1) spin-s/2 Wigner block per s, the
 bosonic ladder-generator exponential restricted to two modes and s
-photons.  The permanent route evaluates every matrix element of the lifted
-unitary directly as a scaled permanent of a repeated row/column submatrix.
-The two routes are algebraically identical and are kept independent so
-each can check the other.
+photons.  The blocks depend only on s and the angles, so the generator
+route builds them for a chunk of couplers at once, one stack per s, and
+keeps the state tables of each mode pair in a small read-only cache.  The
+permanent route evaluates every matrix element of the lifted unitary
+directly as a scaled permanent of a repeated row/column submatrix,
+gathering the submatrices of one output row at a time.  The two routes
+are algebraically identical and are kept independent so each can check
+the other.
 
 A configurable dimension cap (``TRIMESH_DIM_CAP``, default 5000) is checked
 when a :class:`FockBasis` is built, before any state is enumerated, so both
@@ -43,6 +47,7 @@ _DEFAULT_DIM_CAP = 5000
 _PERMANENT_SIZE_CAP = 20
 _BLOCK = 12  # permanent columns summed in one vectorized table
 _INT64_MAX = 2**63 - 1
+_PAIR_TABLE_CACHE = 128  # (n, p, pair) state tables kept across lifts
 
 
 def dimension_cap() -> int:
@@ -136,35 +141,55 @@ def lifted_generator(basis: FockBasis, i: int, j: int) -> "scipy.sparse.csr_matr
     return csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.float64)
 
 
-def _pair_tables(occ: np.ndarray, i: int) -> list[tuple[int, np.ndarray]]:
+@functools.lru_cache(maxsize=_PAIR_TABLE_CACHE)
+def _pair_tables(n: int, p: int, i: int) -> tuple[tuple[int, np.ndarray], ...]:
     """State tables of the SU(2) blocks of the adjacent pair (i, i+1).
 
-    For each s >= 1 the (s+1, groups) table lists the states with
-    m_i + m_{i+1} = s, one column per setting of the other occupations,
-    rows ordered m_i = s, ..., 0 as in ``FockBasis(2, s)``.  The s = 0
-    block is 1.
+    For each s >= 1 the (s+1, groups) table lists the rows of
+    ``FockBasis(n, p)`` with m_i + m_{i+1} = s, one column per setting of
+    the other occupations, rows ordered m_i = s, ..., 0 as in
+    ``FockBasis(2, s)``.  The s = 0 block is 1.  Shared read-only, at
+    most dim indices per pair; callers hold a :class:`FockBasis`, so the
+    dimension cap has been checked.
     """
+    occ = np.fromiter(itertools.chain.from_iterable(_occupations(n, p)), np.int64).reshape(-1, n)
     a, b = occ[:, i - 1], occ[:, i]
     rest = np.delete(occ, [i - 1, i], axis=1)
     rows = np.lexsort((-a, *rest.T[::-1], a + b))
+    rows.flags.writeable = False
     groups = np.split(rows, np.cumsum(np.bincount(a + b))[:-1])
-    return [(s, g.reshape(-1, s + 1).T) for s, g in enumerate(groups) if s and g.size]
+    return tuple((s, g.reshape(-1, s + 1).T) for s, g in enumerate(groups) if s and g.size)
 
 
-def _su2_block(s: int, angles, eigs: dict) -> np.ndarray:
-    """The spin-s/2 Wigner D-matrix of a coupler on ``FockBasis(2, s)``.
+def _spin_eigensystem(s: int) -> tuple[np.ndarray, ...]:
+    """Eigensystem of i*(C_12 - C_21) on ``FockBasis(2, s)``.
 
-    ``eigs`` caches, for each s, the eigensystem of i*(C_12 - C_21), the
-    conjugate transpose of its eigenvectors and the weights m_1 - m_2.
+    Returns the eigenvalues, the eigenvectors, their conjugate transpose
+    and the z weights m_1 - m_2 = s, s-2, ..., -s.
     """
-    if s not in eigs:
-        k = np.arange(1, s + 1)
-        g = np.diag(np.sqrt((s + 1 - k) * k), 1)
-        w, v = np.linalg.eigh(1j * (g - g.T))
-        eigs[s] = w, v, v.conj().T, np.arange(s, -s - 1, -2)
-    w, v, vh, d = eigs[s]
-    mixing = (v * np.exp(0.5j * angles.beta * w)) @ vh
-    return np.exp(0.5j * angles.alpha * d)[:, None] * mixing * np.exp(0.5j * angles.gamma * d)
+    k = np.arange(1, s + 1)
+    g = np.diag(np.sqrt((s + 1 - k) * k), 1)
+    w, v = np.linalg.eigh(1j * (g - g.T))
+    return w, v, v.conj().T, np.arange(s, -s - 1, -2)
+
+
+def _wigner_stacks(spins: dict, angles: np.ndarray) -> dict[int, np.ndarray]:
+    """Spin-s/2 Wigner D-matrices of k couplers on ``FockBasis(2, s)``.
+
+    ``spins`` maps each s to its :func:`_spin_eigensystem` and ``angles``
+    is the (k, 3) alpha/beta/gamma table.  Returns one (k, s+1, s+1) stack
+    per s; each block comes out as it would alone, whatever the chunking.
+    """
+    alpha, beta, gamma = (x[:, None] for x in angles.T)
+    stacks = {}
+    for s, (w, v, vh, d) in spins.items():
+        # alpha phases on the left, gamma phases on the right, in this
+        # operand order: fused complex products need not commute bitwise
+        block = (v * np.exp(0.5j * beta * w)[:, None, :]) @ vh
+        np.multiply(np.exp(0.5j * alpha * d)[:, :, None], block, out=block)
+        block *= np.exp(0.5j * gamma * d)[:, None, :]
+        stacks[s] = block
+    return stacks
 
 
 def lift_coupler(basis: FockBasis, c: Coupler) -> np.ndarray:
@@ -183,33 +208,36 @@ def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
 
     A coupler on (i, i+1) acts on each group of s+1 states that share
     s = m_i + m_{i+1} and the other occupations through one (s+1)x(s+1)
-    block that depends only on s and the angles.  Couplers are applied
-    last to first, each multiplying the running product from the left:
-    one matmul per s mixes the rows of all its groups at once, so a
-    coupler costs O(dim^2 * (p+1)) and only the (s+1)-dimensional blocks
-    are diagonalized.  The state tables are built once per mode pair, so a
-    triangle plan touches only its n-1 adjacent pair types no matter how
-    many couplers it contains.  The global phase enters once per photon.
-    With ``return_info=True`` also returns ``{"offdiag_types", "pairs"}``
-    describing the generator economy.
+    Wigner block that depends only on s and the angles.  The blocks come
+    from the plan's angle table and one small ``eigh`` per s, as one
+    (k, s+1, s+1) stack per s for each chunk of k couplers; a chunk's
+    blocks hold at most dim^2 entries.  Couplers are applied last to
+    first, each multiplying the running product from the left: one matmul
+    per s mixes the rows of all its groups at once, so a coupler costs
+    O(dim^2 * (p+1)).  The state tables are cached per (n, p, pair), and a
+    triangle plan touches only its n-1 pair types.  The global phase
+    enters once per photon.  With ``return_info=True`` also returns
+    ``{"offdiag_types", "pairs"}`` describing the generator economy.
     """
     if basis.n != plan.n:
         raise ValidationError(f"basis is on {basis.n} modes but plan is on {plan.n}")
     _require_adjacent(plan, "lift_plan")
-    dim = len(basis)
-    occ = np.array(basis.states)
-    tables: dict[int, list] = {}
-    eigs: dict[int, tuple] = {}
+    n, p, dim = basis.n, basis.p, len(basis)
+    couplers = plan.couplers[::-1]
+    angles = np.array([tuple(c.angles) for c in couplers], dtype=float).reshape(-1, 3)
+    tables = {i: _pair_tables(n, p, i) for i in sorted({c.i for c in couplers})}
+    spins = {s: _spin_eigensystem(s) for s in sorted({s for t in tables.values() for s, _ in t})}
+    chunk = max(1, dim * dim // max(1, sum((s + 1) ** 2 for s in spins)))
     acc = np.eye(dim, dtype=np.complex128)
-    for c in reversed(plan.couplers):
-        if c.i not in tables:
-            tables[c.i] = _pair_tables(occ, c.i)
-        for s, idx in tables[c.i]:
-            rows = acc[idx].reshape(s + 1, -1)
-            acc[idx] = (_su2_block(s, c.angles, eigs) @ rows).reshape(idx.shape + (dim,))
-    acc *= np.exp(1j * basis.p * plan.global_phase)
+    for start in range(0, len(couplers), chunk):
+        stacks = _wigner_stacks(spins, angles[start : start + chunk])
+        for k, c in enumerate(couplers[start : start + chunk]):
+            for s, idx in tables[c.i]:
+                rows = acc[idx].reshape(s + 1, -1)
+                acc[idx] = (stacks[s][k] @ rows).reshape(idx.shape + (dim,))
+    acc *= np.exp(1j * p * plan.global_phase)
     if return_info:
-        info = {"offdiag_types": len(tables), "pairs": [(i, i + 1) for i in sorted(tables)]}
+        info = {"offdiag_types": len(tables), "pairs": [(i, i + 1) for i in tables]}
         return acc, info
     return acc
 
@@ -266,8 +294,11 @@ def lift_via_permanents(u, p: int, tol: float = 1e-10) -> np.ndarray:
 
     Entry (m', m) equals per(U[m', m]) / sqrt(prod m'_i! * prod m_j!) where
     U[m', m] repeats row i of U m'_i times and column j m_j times.  The
-    basis ordering matches :class:`FockBasis`, so this output is directly
-    comparable with :func:`lift_plan`.
+    (dim, p, p) submatrices of one output row are gathered in one index,
+    dim * p^2 numbers at a time, and each is passed to
+    :func:`permanent_ryser`, one call per entry.  The basis ordering
+    matches :class:`FockBasis`, so this output is directly comparable with
+    :func:`lift_plan`.
     """
     m = as_complex_matrix(u)
     if not is_unitary(m, tol):
@@ -280,11 +311,10 @@ def lift_via_permanents(u, p: int, tol: float = 1e-10) -> np.ndarray:
     if p == 0:
         return np.ones((1, 1), dtype=np.complex128)
 
-    expansions = [np.repeat(np.arange(basis.n), s) for s in basis.states]
-    columns = [m[:, e] for e in expansions]
+    expansions = np.array([np.repeat(np.arange(basis.n), s) for s in basis.states])
     out = np.empty((dim, dim), dtype=np.complex128)
     for r, rows in enumerate(expansions):
-        for c, cols in enumerate(columns):
-            out[r, c] = permanent_ryser(cols[rows])
+        subs = m[rows[:, None], expansions[:, None, :]]
+        out[r] = [permanent_ryser(sub) for sub in subs]
     inv_norms = 1.0 / np.sqrt([math.prod(map(math.factorial, s)) for s in basis.states])
     return out * inv_norms[:, None] * inv_norms

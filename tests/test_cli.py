@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -165,6 +166,32 @@ def test_sample_haar_is_byte_deterministic(capsys):
     assert first == second
     plan = plan_from_json(json.loads(first))
     assert len(plan.couplers) == 10
+
+
+# SHA-256 of the lift documents below, so a change to either lift route
+# that moves any output bit shows (NumPy 2.4.6 with scipy-openblas 0.3.31
+# on x86-64; another BLAS may move the last bits)
+LIFT_SHA256 = {
+    ("plan", 2): "9c6056ea7cee8c002b4e200e85ead8c01a91e199a4a6805798b21eeefe3318a8",
+    ("plan", 3): "caf617fd49a45d1ef6f5cd6f29a0fd3d4b071dbb0359b061ee007585adbc6274",
+    ("matrix", 2): "80ef38d4e7d5aa91f623284a90c1ac890877fdf8c27054fc77ee955c4ecc2437",
+    ("matrix", 3): "d27726d30ef00557a929b42e4f4a2e296b95315832806263424726329fb8c102",
+}
+
+
+def test_lift_is_byte_deterministic(tmp_path, capsys):
+    _, plan_doc, _ = run_cli(["sample-haar", "--n", "4", "--seed", "11"], capsys)
+    ppath = tmp_path / "plan.json"
+    ppath.write_text(plan_doc)
+    mpath = write_matrix(tmp_path, random_unitary_qr(4, seed=12))
+    for kind, path in (("plan", str(ppath)), ("matrix", mpath)):
+        for p in ("2", "3"):
+            code, first, _ = run_cli(["lift", path, "--p", p], capsys)
+            assert code == 0
+            _, second, _ = run_cli(["lift", path, "--p", p], capsys)
+            assert first == second
+            digest = hashlib.sha256(first.encode()).hexdigest()
+            assert digest == LIFT_SHA256[kind, int(p)], (kind, p)
 
 
 def test_sample_haar_coset_chain(capsys):

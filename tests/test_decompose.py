@@ -337,3 +337,14 @@ def test_loss_analysis_rejects_negative_loss():
     plan = triangle_decompose(random_unitary_qr(2, seed=0))
     with pytest.raises(ValidationError):
         loss_analysis(plan, -0.1)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize(
+    "decompose", [triangle_decompose, reck_decompose, clements_decompose]
+)
+def test_decompose_rejects_bad_tol(decompose, tol):
+    with pytest.raises(ValidationError, match="tol"):
+        decompose(np.eye(2), tol=tol)
+    with pytest.raises(ValidationError, match="tol"):
+        canonicalize(triangle_decompose(np.eye(2)), np.eye(2), tol)

@@ -142,3 +142,19 @@ def test_matrix_from_json_ignores_extra_keys():
 def test_matrix_from_json_rejects_malformed(doc):
     with pytest.raises(FormatError):
         matrix_from_json(doc)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
+def test_tol_must_be_finite_and_non_negative(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        is_unitary(np.eye(2), tol)
+    with pytest.raises(ValidationError, match="tol"):
+        project_to_su(np.eye(2), tol)
+    with pytest.raises(ValidationError, match="tol"):
+        expm_skew_hermitian(np.zeros((2, 2)), tol)
+
+
+def test_zero_tol_is_valid():
+    assert is_unitary(np.eye(3), 0.0)
+    assert not is_unitary(np.diag([1.0, 1.0 + 1e-15]), 0.0)
+    assert np.array_equal(expm_skew_hermitian(np.zeros((2, 2)), 0.0), np.eye(2))

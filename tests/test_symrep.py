@@ -23,6 +23,7 @@ from sunmesh import (
     lift_plan,
     lift_via_permanents,
     lifted_generator,
+    merge_adjacent,
     permanent_ryser,
     random_unitary_qr,
     reconstruct,
@@ -417,3 +418,166 @@ def test_lift_plan_generator_economy_at_n9_p5():
     assert info["offdiag_types"] == 8
     sample = np.abs(lifted[0]) ** 2
     assert abs(sample.sum() - 1.0) < 1e-9
+
+
+# --- Wigner stacks, cached pair tables and per-row gathers -------------------
+
+
+def coupler_product(basis, plan):
+    # reference: the per-coupler lifts multiplied out in plan order
+    out = np.eye(len(basis), dtype=complex)
+    for c in plan.couplers:
+        out = out @ lift_coupler(basis, c)
+    return out * np.exp(1j * basis.p * plan.global_phase)
+
+
+def doubled_triangle(n, seed):
+    m, plan = canonical_plan(n, seed)
+    return merge_adjacent(MeshPlan(n, plan.global_phase, plan.couplers * 2))
+
+
+@pytest.mark.parametrize(
+    "make_plan",
+    [
+        lambda: clements_decompose(random_unitary_qr(5, seed=301)),
+        lambda: doubled_triangle(4, seed=302),
+        lambda: MeshPlan(1, 0.4, ()),
+        lambda: MeshPlan(3, -0.9, ()),
+    ],
+    ids=["clements", "merged-doubled-triangle", "one-mode", "empty"],
+)
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_lift_plan_matches_coupler_product(make_plan, p):
+    plan = make_plan()
+    pairs = [c.i for c in plan.couplers]
+    assert len(set(pairs)) < len(pairs) or not pairs
+    basis = FockBasis(plan.n, p)
+    assert np.abs(lift_plan(basis, plan) - coupler_product(basis, plan)).max() <= 1e-15
+
+
+def test_lift_plan_chunks_match_one_chunk_route(monkeypatch):
+    from sunmesh import symrep
+
+    # dim 6 and 4 + 9 block entries per coupler: two couplers per chunk
+    n, p, dim = 3, 2, 6
+    _, plan = canonical_plan(n, seed=303)
+    plan = MeshPlan(n, plan.global_phase, plan.couplers * 4)
+    build, chunks = symrep._wigner_stacks, []
+
+    def spy(spins, angles):
+        chunks.append(len(angles))
+        return build(spins, angles)
+
+    monkeypatch.setattr(symrep, "_wigner_stacks", spy)
+    lifted = lift_plan(FockBasis(n, p), plan)
+    assert chunks == [2] * 6
+    # the one-chunk route: every block in one stack, applied in the same order
+    couplers = plan.couplers[::-1]
+    spins = {s: symrep._spin_eigensystem(s) for s in (1, 2)}
+    stacks = build(spins, np.array([tuple(c.angles) for c in couplers]))
+    want = np.eye(dim, dtype=complex)
+    for k, c in enumerate(couplers):
+        for s, idx in symrep._pair_tables(n, p, c.i):
+            rows = want[idx].reshape(s + 1, -1)
+            want[idx] = (stacks[s][k] @ rows).reshape(idx.shape + (dim,))
+    want *= np.exp(1j * p * plan.global_phase)
+    assert np.array_equal(lifted, want)
+
+
+def test_pair_tables_are_cached_shared_and_read_only():
+    from sunmesh import symrep
+
+    assert symrep._pair_tables.cache_info().maxsize is not None
+    _, plan = canonical_plan(4, seed=304)
+    first, second = FockBasis(4, 3), FockBasis(4, 3)
+    lift_plan(first, plan)
+    before = symrep._pair_tables.cache_info()
+    lift_plan(second, plan)
+    after = symrep._pair_tables.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    for i in (1, 2, 3):
+        tables = symrep._pair_tables(4, 3, i)
+        assert symrep._pair_tables(4, 3, i) is tables
+        seen = []
+        for s, idx in tables:
+            assert idx.dtype == np.int64 and idx.shape[0] == s + 1
+            with pytest.raises(ValueError):
+                idx[0, 0] = 0
+            for group in idx.T:
+                states = [first.states[r] for r in group]
+                assert [st[i - 1] for st in states] == list(range(s, -1, -1))
+                assert all(st[i - 1] + st[i] == s for st in states)
+                assert len({st[: i - 1] + st[i + 1 :] for st in states}) == 1
+            seen.extend(idx.ravel().tolist())
+        unpaired = [r for r, st in enumerate(first.states) if st[i - 1] + st[i] == 0]
+        assert sorted(seen + unpaired) == list(range(len(first)))
+
+
+def test_over_cap_basis_builds_no_pair_table(monkeypatch):
+    from sunmesh import symrep
+
+    _, plan = canonical_plan(4, seed=305)
+
+    def sentinel(*args):
+        raise AssertionError("pair tables built before the cap check")
+
+    monkeypatch.setenv("TRIMESH_DIM_CAP", "30")
+    monkeypatch.setattr(symrep, "_pair_tables", sentinel)
+    monkeypatch.setattr(symrep, "_occupations", sentinel)
+    with pytest.raises(ResourceError):
+        lift_plan(FockBasis(4, 4), plan)  # dim 35 > 30
+
+
+@pytest.mark.parametrize("n,copies", [(5, 1), (5, 6), (2, 4)])
+def test_lift_plan_calls_eigh_at_most_p_times(monkeypatch, n, copies):
+    p = 3
+    _, plan = canonical_plan(n, seed=306)
+    plan = MeshPlan(n, plan.global_phase, plan.couplers * copies)
+    eigh, sizes = np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    lift_plan(FockBasis(n, p), plan)
+    # two modes hold only s = p; more modes hold every s = 1..p
+    assert sorted(sizes) == ([p + 1] if n == 2 else list(range(2, p + 2)))
+
+
+@pytest.mark.parametrize("n,p", [(4, 4), (3, 2)])
+def test_lift_via_permanents_makes_one_call_per_entry(monkeypatch, n, p):
+    from sunmesh import symrep
+
+    ryser, calls = symrep.permanent_ryser, []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return ryser(a)
+
+    monkeypatch.setattr(symrep, "permanent_ryser", counting)
+    u = random_unitary_qr(n, seed=307)
+    lifted = lift_via_permanents(u, p)
+    basis = FockBasis(n, p)
+    dim = len(basis)
+    assert calls == [(p, p)] * (dim * dim)
+    want = np.empty((dim, dim), dtype=complex)
+    for r, out_state in enumerate(basis.states):
+        for c, in_state in enumerate(basis.states):
+            rows = np.repeat(np.arange(n), out_state)
+            cols = np.repeat(np.arange(n), in_state)
+            want[r, c] = ryser(u[np.ix_(rows, cols)])
+    inv = 1.0 / np.sqrt([math.prod(map(math.factorial, s)) for s in basis.states])
+    assert np.array_equal(lifted, want * inv[:, None] * inv)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
+def test_lift_via_permanents_rejects_bad_tol(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        lift_via_permanents(np.diag([1.0, 2.0]), 2, tol=tol)
+    with pytest.raises(ValidationError, match="tol"):
+        lift_via_permanents(np.eye(2), 2, tol=tol)
+
+
+def test_lift_via_permanents_accepts_zero_tol():
+    assert np.abs(lift_via_permanents(np.eye(2), 2, tol=0.0) - np.eye(3)).max() < 1e-15
