@@ -1,8 +1,9 @@
 """Lift a mode unitary to its action on multi-photon Fock states.
 
 Two independent routes are compared entry by entry: exponentiating the
-lifted mesh generators coupler by coupler, and building the matrix from
-permanents of submatrices.  The generator route only ever touches the
+lifted mesh generators coupler by coupler, and the permanent lift of the
+matrix, whose entries are permanents of submatrices, built photon by
+photon from the matrix alone.  The generator route only ever touches the
 n - 1 adjacent mode pairs of the triangle, which is the point.
 """
 

@@ -8,16 +8,21 @@ bosonic ladder-generator exponential restricted to two modes and s
 photons.  The blocks depend only on s and the angles, so the generator
 route builds them for a chunk of couplers at once, one stack per s, and
 keeps the state tables of each mode pair in a small read-only cache.  The
-permanent route evaluates every matrix element of the lifted unitary
-directly as a scaled permanent of a repeated row/column submatrix,
-gathering the submatrices of one output row at a time.  The two routes
-are algebraically identical and are kept independent so each can check
-the other.
+permanent route needs only the n x n matrix U: each entry of its lift is a
+scaled permanent of a repeated row/column submatrix, and the Laplace
+expansion of those permanents builds the q-photon lift from the
+(q-1)-photon lift, one photon at a time, from read-only rank maps cached
+per (n, p).  Level q costs n^2 * dim_{q-1} * dim_q complex multiply-adds
+in one matmul plus 2n gathers, and chunks its output columns so that its
+two work arrays hold at most dim^2 entries each; no permanent is
+evaluated.  The two routes are algebraically identical and are kept
+independent so each can check the other.
 
 A configurable dimension cap (``TRIMESH_DIM_CAP``, default 5000) is checked
-when a :class:`FockBasis` is built, before any state is enumerated, so both
-routes refuse an oversized space at once.  Permanents are limited to 20x20,
-which takes well under a second.
+when a :class:`FockBasis` or a permanent-route lift starts, before any
+state is enumerated or table built, so both routes refuse an oversized
+space at once.  Permanents are limited to 20x20, which takes well under a
+second, and the permanent route to p <= 20.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ _PERMANENT_SIZE_CAP = 20
 _BLOCK = 12  # permanent columns summed in one vectorized table
 _INT64_MAX = 2**63 - 1
 _PAIR_TABLE_CACHE = 128  # (n, p, pair) state tables kept across lifts
+_PHOTON_TABLE_CACHE = 16  # (n, p) rank maps kept across permanent-route lifts
 
 
 def dimension_cap() -> int:
@@ -80,6 +86,14 @@ def basis_dimension(n: int, p: int) -> int:
     return dim
 
 
+def _capped_dimension(n: int, p: int) -> int:
+    """:func:`basis_dimension`, or :class:`ResourceError` above the cap."""
+    dim, cap = basis_dimension(n, p), dimension_cap()
+    if dim > cap:
+        raise ResourceError(f"Fock basis dimension {dim} exceeds cap {cap}")
+    return dim
+
+
 def _occupations(n: int, p: int):
     if n == 1:
         yield (p,)
@@ -102,9 +116,7 @@ class FockBasis:
     def __init__(self, n: int, p: int):
         self.n = check_int(n, "n", 1)
         self.p = check_int(p, "p", 0)
-        dim, cap = basis_dimension(n, p), dimension_cap()
-        if dim > cap:
-            raise ResourceError(f"Fock basis dimension {dim} exceeds cap {cap}")
+        _capped_dimension(n, p)
         self.states: tuple[tuple[int, ...], ...] = tuple(_occupations(n, p))
         self.index: dict[tuple[int, ...], int] = {s: r for r, s in enumerate(self.states)}
 
@@ -289,16 +301,96 @@ def permanent_ryser(a) -> complex:
     return complex(total) / 2 ** (p - 1)
 
 
+@functools.lru_cache(maxsize=_PHOTON_TABLE_CACHE)
+def _photon_tables(n: int, p: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Rank maps of the photon-number recursion, four per level q = 1..p.
+
+    For the states m of ``FockBasis(n, q)``, ``lower[j]`` holds the row of
+    m - e_j in ``FockBasis(n, q - 1)`` (0 where m_j = 0) and ``root[j]``
+    holds sqrt(m_j); both are (n, dim_q).  For the states k of
+    ``FockBasis(n, q - 1)``, ``upper[i]`` holds the row of k + e_i in
+    ``FockBasis(n, q)`` and ``weight[i]`` holds sqrt(k_i + 1); both are
+    (n, dim_{q-1}).  All are read-only.  The rows come from the
+    combinatorial number system: in descending lexicographic
+    order a state's row is sum_k C(t_k + n - k - 1, n - k), t_k being the
+    photons after mode k, so taking a photon from mode j lowers the row by
+    C(t_k + n - k - 2, n - k - 1), the number of (t_k - 1)-photon states
+    on the n - k modes after k, for each k < j.  Callers check the
+    dimension cap first.
+    """
+    drop = np.array(
+        [[basis_dimension(n - k, t - 1) if t else 0 for t in range(p + 1)] for k in range(1, n)],
+        np.int64,
+    ).reshape(n - 1, p + 1)
+    levels, size = [], 1
+    for q in range(1, p + 1):
+        occ = np.fromiter(itertools.chain.from_iterable(_occupations(n, q)), np.int64).reshape(-1, n)
+        after = np.cumsum(occ[:, :0:-1], axis=1)[:, ::-1]  # photons after mode k
+        steps = np.cumsum(drop[np.arange(n - 1), after], axis=1)
+        lower = np.arange(len(occ))[:, None] - np.pad(steps, ((0, 0), (1, 0)))
+        lower = np.where(occ > 0, lower, 0).T.copy()
+        root = np.sqrt(occ.T)
+        modes, rows = np.nonzero(occ.T)
+        upper = np.empty((n, size), np.int64)
+        upper[modes, lower[modes, rows]] = rows
+        weight = np.take_along_axis(root, upper, axis=1)
+        for table in (lower, root, upper, weight):
+            table.flags.writeable = False
+        levels.append((lower, root, upper, weight))
+        size = len(occ)
+    return tuple(levels)
+
+
+def _lift_by_photons(m: np.ndarray, p: int) -> np.ndarray:
+    """p-photon lift of any n x n matrix, one photon at a time.
+
+    D_q[m', m] = (1/q) sum_{i,j} sqrt(m'_i m_j) U_ij D_{q-1}[m' - e_i, m - e_j]
+    from D_0 = [[1]].  Each level gathers T_j = D_{q-1}[:, lower_j] *
+    sqrt(m_j), mixes them in one (n x n) matmul V = (U/q) T and adds each
+    V_i, its rows k weighted by sqrt(k_i + 1), into the rows k + e_i.  Only
+    rows with m'_i > 0 receive V_i, so the adds touch n * dim_{q-1} rows,
+    not n * dim_q.  Output columns go in chunks so that T and V hold at
+    most dim^2 entries each.  Checks the dimension cap before building any
+    table; no photon-number limit.
+    """
+    n = m.shape[0]
+    dim = _capped_dimension(n, p)
+    prev = np.ones((1, 1), dtype=np.complex128)
+    for q, (lower, root, upper, weight) in enumerate(_photon_tables(n, p), start=1):
+        size, rows = prev.shape[0], lower.shape[1]
+        mix = m / q
+        cur = np.zeros((rows, rows), dtype=np.complex128)
+        step = max(1, dim * dim // (n * size))
+        for start in range(0, rows, step):
+            cols = slice(start, min(start + step, rows))
+            t = np.empty((n, size, cols.stop - start), dtype=np.complex128)
+            for j in range(n):
+                np.multiply(prev[:, lower[j, cols]], root[j, cols], out=t[j])
+            v = (mix @ t.reshape(n, -1)).reshape(t.shape)
+            del t
+            v *= weight[:, :, None]
+            out = cur[:, cols]
+            for i in range(n):
+                out[upper[i]] += v[i]  # k -> k + e_i is one-to-one
+        prev = cur
+    return prev
+
+
 def lift_via_permanents(u, p: int, tol: float = 1e-10) -> np.ndarray:
-    """Lift a unitary to the p-photon basis entry by entry via permanents.
+    """Lift a unitary to the p-photon basis, the permanent lift of U.
 
     Entry (m', m) equals per(U[m', m]) / sqrt(prod m'_i! * prod m_j!) where
     U[m', m] repeats row i of U m'_i times and column j m_j times.  The
-    (dim, p, p) submatrices of one output row are gathered in one index,
-    dim * p^2 numbers at a time, and each is passed to
-    :func:`permanent_ryser`, one call per entry.  The basis ordering
-    matches :class:`FockBasis`, so this output is directly comparable with
-    :func:`lift_plan`.
+    lift is built one photon at a time by the Laplace expansion of these
+    permanents (:func:`_lift_by_photons`), never one entry at a time, so
+    no permanent is evaluated: sum_q n^2 * dim_{q-1} * dim_q multiply-adds,
+    with work arrays of at most dim^2 entries each besides the two
+    levels held.  On one x86-64 core with one BLAS thread, n=4, p=4
+    (dim 35) takes about 0.4 ms, n=9, p=5 (dim 1287) about 0.19 s and
+    n=8, p=6 (dim 1716) about 0.4 s.  The basis ordering matches
+    :class:`FockBasis`, so this output is directly comparable with
+    :func:`lift_plan`.  The dimension cap is checked before any table is
+    built, and p above 20 is refused.
     """
     m = as_complex_matrix(u)
     if not is_unitary(m, tol):
@@ -306,15 +398,4 @@ def lift_via_permanents(u, p: int, tol: float = 1e-10) -> np.ndarray:
     check_int(p, "p", 0)
     if p > _PERMANENT_SIZE_CAP:
         raise ResourceError(f"photon number {p} exceeds permanent cap {_PERMANENT_SIZE_CAP}")
-    basis = FockBasis(m.shape[0], p)
-    dim = len(basis)
-    if p == 0:
-        return np.ones((1, 1), dtype=np.complex128)
-
-    expansions = np.array([np.repeat(np.arange(basis.n), s) for s in basis.states])
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for r, rows in enumerate(expansions):
-        subs = m[rows[:, None], expansions[:, None, :]]
-        out[r] = [permanent_ryser(sub) for sub in subs]
-    inv_norms = 1.0 / np.sqrt([math.prod(map(math.factorial, s)) for s in basis.states])
-    return out * inv_norms[:, None] * inv_norms
+    return _lift_by_photons(m, p)

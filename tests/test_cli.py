@@ -174,8 +174,8 @@ def test_sample_haar_is_byte_deterministic(capsys):
 LIFT_SHA256 = {
     ("plan", 2): "9c6056ea7cee8c002b4e200e85ead8c01a91e199a4a6805798b21eeefe3318a8",
     ("plan", 3): "caf617fd49a45d1ef6f5cd6f29a0fd3d4b071dbb0359b061ee007585adbc6274",
-    ("matrix", 2): "80ef38d4e7d5aa91f623284a90c1ac890877fdf8c27054fc77ee955c4ecc2437",
-    ("matrix", 3): "d27726d30ef00557a929b42e4f4a2e296b95315832806263424726329fb8c102",
+    ("matrix", 2): "08669b28f482bfc475424585349e4faa37bba057d7d42fc5968f1d3fbf9fa802",
+    ("matrix", 3): "31329e0e1330e615d437697dbad2349f038fdeef4debe72a42b8f02d907189bc",
 }
 
 

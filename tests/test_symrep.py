@@ -546,7 +546,7 @@ def test_lift_plan_calls_eigh_at_most_p_times(monkeypatch, n, copies):
 
 
 @pytest.mark.parametrize("n,p", [(4, 4), (3, 2)])
-def test_lift_via_permanents_makes_one_call_per_entry(monkeypatch, n, p):
+def test_lift_via_permanents_calls_no_permanent(monkeypatch, n, p):
     from sunmesh import symrep
 
     ryser, calls = symrep.permanent_ryser, []
@@ -560,7 +560,7 @@ def test_lift_via_permanents_makes_one_call_per_entry(monkeypatch, n, p):
     lifted = lift_via_permanents(u, p)
     basis = FockBasis(n, p)
     dim = len(basis)
-    assert calls == [(p, p)] * (dim * dim)
+    assert calls == []
     want = np.empty((dim, dim), dtype=complex)
     for r, out_state in enumerate(basis.states):
         for c, in_state in enumerate(basis.states):
@@ -568,7 +568,81 @@ def test_lift_via_permanents_makes_one_call_per_entry(monkeypatch, n, p):
             cols = np.repeat(np.arange(n), in_state)
             want[r, c] = ryser(u[np.ix_(rows, cols)])
     inv = 1.0 / np.sqrt([math.prod(map(math.factorial, s)) for s in basis.states])
-    assert np.array_equal(lifted, want * inv[:, None] * inv)
+    want *= inv[:, None] * inv
+    assert (np.abs(lifted - want) <= 1e-12 * np.abs(want)).all()
+
+
+def test_lift_via_permanents_checks_cap_before_building_tables(monkeypatch):
+    from sunmesh import symrep
+
+    def sentinel(n, p):
+        raise AssertionError("tables built before the cap check")
+
+    monkeypatch.setenv("TRIMESH_DIM_CAP", "30")
+    monkeypatch.setattr(symrep, "_photon_tables", sentinel)
+    monkeypatch.setattr(symrep, "_occupations", sentinel)
+    with pytest.raises(ResourceError, match="Fock basis dimension 35 exceeds cap 30"):
+        lift_via_permanents(random_unitary_qr(4, seed=308), 4)
+
+
+def test_lift_routes_agree_at_n9_p5():
+    m, plan = canonical_plan(9, seed=309)
+    lifted = lift_via_permanents(m, 5)
+    assert lifted.shape == (1287, 1287)
+    assert np.abs(lift_plan(FockBasis(9, 5), plan) - lifted).max() <= 1e-12
+
+
+def test_lift_via_permanents_n2_p20_is_unitary():
+    lifted = lift_via_permanents(random_unitary_qr(2, seed=310), 20)
+    assert np.abs(lifted @ lifted.conj().T - np.eye(21)).max() <= 1e-12
+
+
+def test_photon_recursion_n2_p200_is_unitary():
+    from sunmesh import symrep
+
+    lifted = symrep._lift_by_photons(random_unitary_qr(2, seed=311), 200)
+    assert np.abs(lifted @ lifted.conj().T - np.eye(201)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_photon_tables_match_fock_index(n):
+    from sunmesh import symrep
+
+    for p in range(7):
+        tables = symrep._photon_tables(n, p)
+        assert len(tables) == p
+        for q, (lower, root, upper, weight) in enumerate(tables, start=1):
+            here, below = FockBasis(n, q), FockBasis(n, q - 1)
+            assert lower.shape == root.shape == (n, len(here))
+            assert upper.shape == weight.shape == (n, len(below))
+            for r, state in enumerate(here.states):
+                for j, k in enumerate(state):
+                    less = state[:j] + (k - 1,) + state[j + 1 :]
+                    assert lower[j, r] == (below.index[less] if k else 0), (n, p, q, state, j)
+                    assert root[j, r] == math.sqrt(k)
+            for r, state in enumerate(below.states):
+                for i, k in enumerate(state):
+                    more = state[:i] + (k + 1,) + state[i + 1 :]
+                    assert upper[i, r] == here.index[more], (n, p, q, state, i)
+                    assert weight[i, r] == math.sqrt(k + 1)
+            for table in (lower, root, upper, weight):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0, 0] = 1
+
+
+def test_lift_via_permanents_memory_at_n8_p6():
+    import tracemalloc
+
+    u, dim = random_unitary_qr(8, seed=312), basis_dimension(8, 6)
+    lift_via_permanents(u, 6)  # warm: tables cached
+    tracemalloc.start()
+    try:
+        lift_via_permanents(u, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * dim * dim, peak / (16 * dim * dim)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
