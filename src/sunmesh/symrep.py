@@ -7,9 +7,18 @@ lift is block-diagonal: one (s+1)x(s+1) spin-s/2 Wigner block per s, the
 bosonic ladder-generator exponential restricted to two modes and s
 photons.  The blocks depend only on s and the angles, so the generator
 route builds them for a chunk of couplers at once, one stack per s, and
-keeps the state tables of each mode pair in a small read-only cache.  The
-permanent route needs only the n x n matrix U: each entry of its lift is a
-scaled permanent of a repeated row/column submatrix, and the Laplace
+keeps the state tables of each mode pair in a small read-only cache.  It
+follows the paper's recursion SU(n) = SU(2) coupler times SU(n-1) block:
+while the couplers applied so far act only on modes j..n, their product
+is 1 on modes 1..j-1 times the lifts of one SU(n-j+1) element, held on
+the (n-j+2)-mode Fock space whose first mode lumps modes 1..j-1.  A
+coupler there costs O(dim(n-j+2, p) * dim(n-j+1, p) * (p+1)) instead of
+O(dim^2 * (p+1)), so a lift costs the sum of these over the levels its
+couplers act at, plus O(dim^2 * (p+1)) for each coupler applied after
+mode 1 is mixed.
+
+The permanent route needs only the n x n matrix U: each entry of its lift
+is a scaled permanent of a repeated row/column submatrix, and the Laplace
 expansion of those permanents builds the q-photon lift from the
 (q-1)-photon lift, one photon at a time, from read-only rank maps cached
 per (n, p).  Level q costs n^2 * dim_{q-1} * dim_q complex multiply-adds
@@ -52,8 +61,10 @@ _DEFAULT_DIM_CAP = 5000
 _PERMANENT_SIZE_CAP = 20
 _BLOCK = 12  # permanent columns summed in one vectorized table
 _INT64_MAX = 2**63 - 1
-_PAIR_TABLE_CACHE = 128  # (n, p, pair) state tables kept across lifts
+_PAIR_TABLE_CACHE = 128  # (n, p) pair state tables kept across lifts
 _PHOTON_TABLE_CACHE = 16  # (n, p) rank maps kept across permanent-route lifts
+_BASIS_CACHE = 32  # (n, p) state enumerations kept for bases and tables
+_SPIN_CACHE = 32  # Wigner eigensystems kept for s <= 32, about 0.4 MB in all
 
 
 def dimension_cap() -> int:
@@ -94,13 +105,21 @@ def _capped_dimension(n: int, p: int) -> int:
     return dim
 
 
-def _occupations(n: int, p: int):
-    if n == 1:
-        yield (p,)
-        return
-    for first in range(p, -1, -1):
-        for rest in _occupations(n - 1, p - first):
-            yield (first,) + rest
+@functools.lru_cache(maxsize=_BASIS_CACHE)
+def _occupations(n: int, p: int) -> np.ndarray:
+    """Read-only (dim, n) occupations of the p-photon states on n modes.
+
+    Rows are in lexicographically descending order.  A state is a row of
+    p stars and n - 1 bars, m_k being the stars between bars k-1 and k, so
+    the bar positions, listed by ``itertools.combinations`` and reversed,
+    give the states in that order.  Callers check the dimension cap first.
+    """
+    dim = math.comb(n + p - 1, p)
+    combos = itertools.combinations(range(n + p - 1), n - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(combos), np.int64, dim * (n - 1))
+    occ = np.diff(bars.reshape(dim, n - 1)[::-1], axis=1, prepend=-1, append=n + p - 1) - 1
+    occ.flags.writeable = False
+    return occ
 
 
 class FockBasis:
@@ -117,7 +136,7 @@ class FockBasis:
         self.n = check_int(n, "n", 1)
         self.p = check_int(p, "p", 0)
         _capped_dimension(n, p)
-        self.states: tuple[tuple[int, ...], ...] = tuple(_occupations(n, p))
+        self.states: tuple[tuple[int, ...], ...] = tuple(map(tuple, _occupations(n, p).tolist()))
         self.index: dict[tuple[int, ...], int] = {s: r for r, s in enumerate(self.states)}
 
     def __len__(self) -> int:
@@ -154,35 +173,60 @@ def lifted_generator(basis: FockBasis, i: int, j: int) -> "scipy.sparse.csr_matr
 
 
 @functools.lru_cache(maxsize=_PAIR_TABLE_CACHE)
-def _pair_tables(n: int, p: int, i: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """State tables of the SU(2) blocks of the adjacent pair (i, i+1).
+def _pair_tables(n: int, p: int) -> tuple[tuple[tuple[int, np.ndarray], ...], ...]:
+    """State tables of the SU(2) blocks of every adjacent pair on n modes.
 
-    For each s >= 1 the (s+1, groups) table lists the rows of
-    ``FockBasis(n, p)`` with m_i + m_{i+1} = s, one column per setting of
-    the other occupations, rows ordered m_i = s, ..., 0 as in
-    ``FockBasis(2, s)``.  The s = 0 block is 1.  Shared read-only, at
-    most dim indices per pair; callers hold a :class:`FockBasis`, so the
-    dimension cap has been checked.
+    Entry i-1 belongs to the pair (i, i+1): for each s >= 1 present, its
+    (s+1, groups) table lists the rows of ``FockBasis(n, p)`` with
+    m_i + m_{i+1} = s, one column per setting of the other occupations,
+    rows ordered m_i = s, ..., 0 as in ``FockBasis(2, s)``.  The s = 0
+    block is 1.  A group starts at its state with m_{i+1} = 0.  Moving a
+    photons from mode i to mode i+1 changes only t_i, the photons after
+    mode i, so by the rank formula of :func:`_photon_tables` the row grows
+    by the number of states of t_i .. t_i + a - 1 photons on the n - i
+    modes after mode i.  Shared read-only, at most (n-1) * dim indices;
+    callers hold a :class:`FockBasis` of p photons on at least n modes, so
+    the dimension cap has been checked.
     """
-    occ = np.fromiter(itertools.chain.from_iterable(_occupations(n, p)), np.int64).reshape(-1, n)
-    a, b = occ[:, i - 1], occ[:, i]
-    rest = np.delete(occ, [i - 1, i], axis=1)
-    rows = np.lexsort((-a, *rest.T[::-1], a + b))
-    rows.flags.writeable = False
-    groups = np.split(rows, np.cumsum(np.bincount(a + b))[:-1])
-    return tuple((s, g.reshape(-1, s + 1).T) for s, g in enumerate(groups) if s and g.size)
+    occ = _occupations(n, p)
+    after = p - np.cumsum(occ, axis=1)
+    # below[i-1, t]: the states of fewer than t photons on the modes after i
+    below = np.array(
+        [[math.comb(r + t - 1, r) for t in range(p + 1)] for r in range(n - 1, 0, -1)], np.int64
+    ).reshape(n - 1, p + 1)
+    pair, head = np.nonzero(((occ[:, :-1] > 0) & (occ[:, 1:] == 0)).T)
+    pair_photons, later = occ[head, pair], after[head, pair]
+    tables = [[] for _ in range(n - 1)]
+    for s in range(1, p + 1):
+        pick = pair_photons == s
+        q, t = pair[pick], later[pick]
+        rows = head[pick, None] + below[q[:, None], t[:, None] + np.arange(s + 1)]
+        rows -= below[q, t][:, None]
+        rows.flags.writeable = False
+        cut = np.searchsorted(q, np.arange(n))
+        for i in range(n - 1):
+            if cut[i] < cut[i + 1]:
+                tables[i].append((s, rows[cut[i] : cut[i + 1]].T))
+    return tuple(map(tuple, tables))
 
 
+@functools.lru_cache(maxsize=_SPIN_CACHE)
 def _spin_eigensystem(s: int) -> tuple[np.ndarray, ...]:
     """Eigensystem of i*(C_12 - C_21) on ``FockBasis(2, s)``.
 
-    Returns the eigenvalues, the eigenvectors, their conjugate transpose
-    and the z weights m_1 - m_2 = s, s-2, ..., -s.
+    Returns read-only the eigenvalues, the eigenvectors, their conjugate
+    transpose and the z weights m_1 - m_2 = s, s-2, ..., -s.  Callers take
+    it from the cache only for s <= _SPIN_CACHE and call
+    ``_spin_eigensystem.__wrapped__`` above, so no large eigenbasis
+    outlives its lift.
     """
     k = np.arange(1, s + 1)
     g = np.diag(np.sqrt((s + 1 - k) * k), 1)
     w, v = np.linalg.eigh(1j * (g - g.T))
-    return w, v, v.conj().T, np.arange(s, -s - 1, -2)
+    out = w, v, v.conj().T, np.arange(s, -s - 1, -2)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _wigner_stacks(spins: dict, angles: np.ndarray) -> dict[int, np.ndarray]:
@@ -215,20 +259,71 @@ def lift_coupler(basis: FockBasis, c: Coupler) -> np.ndarray:
     return lift_plan(basis, MeshPlan(basis.n, 0.0, (c,)))
 
 
+def _widen(acc: np.ndarray, k: int, photons) -> np.ndarray:
+    """Re-embed lifts on the last k modes one mode further down the mesh.
+
+    At level j = n - k + 1 the running product is 1 on modes 1..j-1 times
+    the lifts L_s, s = 0..p, of one unitary on the last k modes.  ``acc``
+    holds them on the (k+1)-mode Fock space whose first mode lumps modes
+    1..j-1: L_s sits in the rows where that mode holds p - s photons, which
+    start at row dim(k+1, s-1), and in its first dim(k, s) columns.  For
+    each r in ``photons`` the result stacks the block-diagonal sum of L_s
+    over s <= r, each L_s at that same offset: ``range(p + 1)`` gives
+    level j - 1, and ``(p,)`` at k = n - 1 gives the dense product.
+    Each block is one slice copy.
+    """
+    rows = sum(math.comb(k + r, r) for r in photons)
+    out = np.zeros((rows, math.comb(k + photons[-1], k)), dtype=np.complex128)
+    top = 0
+    for r in photons:
+        lo = 0
+        for s in range(r + 1):
+            hi = lo + math.comb(k + s - 1, s)
+            out[top + lo : top + hi, lo:hi] = acc[lo:hi, : hi - lo]
+            lo = hi
+        top += lo
+    return out
+
+
+def _descend(acc: np.ndarray, n: int, p: int, j: int, low: int) -> tuple[np.ndarray, int]:
+    """Step the running product from level j down to level ``low``.
+
+    Level 1 is the dense dim x dim product, reached through level 2.
+    """
+    while j > max(low, 2):
+        j -= 1
+        acc = _widen(acc, n - j, range(p + 1))
+    if low == 1 and j == 2:
+        acc, j = _widen(acc, n - 1, (p,)), 1
+    return acc, j
+
+
 def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
     """Lift a whole adjacent-coupler plan: ordered product of coupler lifts.
 
     A coupler on (i, i+1) acts on each group of s+1 states that share
     s = m_i + m_{i+1} and the other occupations through one (s+1)x(s+1)
     Wigner block that depends only on s and the angles.  The blocks come
-    from the plan's angle table and one small ``eigh`` per s, as one
-    (k, s+1, s+1) stack per s for each chunk of k couplers; a chunk's
-    blocks hold at most dim^2 entries.  Couplers are applied last to
-    first, each multiplying the running product from the left: one matmul
-    per s mixes the rows of all its groups at once, so a coupler costs
-    O(dim^2 * (p+1)).  The state tables are cached per (n, p, pair), and a
-    triangle plan touches only its n-1 pair types.  The global phase
-    enters once per photon.  With ``return_info=True`` also returns
+    from the plan's angle table and one small ``eigh`` per s, cached for
+    s <= 32, as one (k, s+1, s+1) stack per s for each chunk of k
+    couplers; a chunk's blocks hold at most dim^2 entries.  Couplers are
+    applied last to first, each multiplying the running product from the
+    left, one matmul per s for all its groups at once.
+
+    The running product follows the paper's recursion.  While every
+    coupler applied so far acts on modes j..n (level j), the product is 1
+    on modes 1..j-1 times the lifts of one SU(n-j+1) element, and it is
+    held on the (n-j+2)-mode Fock space whose first mode lumps modes
+    1..j-1: a D_j x W_j array, D_j = dim(n-j+2, p) and W_j = dim(n-j+1, p)
+    (see :func:`_widen`).  A coupler reaching mode j-1 steps one level
+    down by (p+1)(p+2)/2 slice copies; the dense dim x dim product is
+    built only when a coupler touches mode 1 or the plan ends, and a plan
+    whose first applied coupler touches mode 1 starts dense.  A coupler at
+    level j costs O(D_j * W_j * (p+1)) and a dense one O(dim^2 * (p+1)),
+    so a triangle plan, n-j couplers at each level j = 2..n-1 and n-1
+    dense, costs sum_j (n-j) D_j W_j (p+1) + (n-1) dim^2 (p+1).  The state
+    tables are cached per (modes, p).  The global phase enters once
+    per photon.  With ``return_info=True`` also returns
     ``{"offdiag_types", "pairs"}`` describing the generator economy.
     """
     if basis.n != plan.n:
@@ -237,20 +332,36 @@ def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
     n, p, dim = basis.n, basis.p, len(basis)
     couplers = plan.couplers[::-1]
     angles = np.array([tuple(c.angles) for c in couplers], dtype=float).reshape(-1, 3)
-    tables = {i: _pair_tables(n, p, i) for i in sorted({c.i for c in couplers})}
-    spins = {s: _spin_eigensystem(s) for s in sorted({s for t in tables.values() for s, _ in t})}
+    # each coupler's level: the lowest mode touched so far, 1 meaning dense;
+    # at level j >= 2 it acts on the pair i-j+2 of n-j+2 modes, and on the
+    # dense product through level 2's tables
+    levels = list(itertools.accumulate((c.i for c in couplers), min))
+    where = [(n - j + 2, c.i - j + 1) for c, j in zip(couplers, (max(j, 2) for j in levels))]
+    spaces = {m: _pair_tables(m, p) for m in sorted({m for m, _ in where})}
+    tables = [spaces[m][i] for m, i in where]
+    present = sorted({s for t in tables for s, _ in t})
+    spins = {
+        s: (_spin_eigensystem if s <= _SPIN_CACHE else _spin_eigensystem.__wrapped__)(s)
+        for s in present
+    }
     chunk = max(1, dim * dim // max(1, sum((s + 1) ** 2 for s in spins)))
-    acc = np.eye(dim, dtype=np.complex128)
+    if levels and levels[0] > 1:
+        acc, j = _descend(np.ones((p + 1, 1), dtype=np.complex128), n, p, n, levels[0])
+    else:
+        acc, j = np.eye(dim, dtype=np.complex128), 1
     for start in range(0, len(couplers), chunk):
         stacks = _wigner_stacks(spins, angles[start : start + chunk])
-        for k, c in enumerate(couplers[start : start + chunk]):
-            for s, idx in tables[c.i]:
+        for k in range(start, min(start + chunk, len(couplers))):
+            if levels[k] < j:
+                acc, j = _descend(acc, n, p, j, levels[k])
+            for s, idx in tables[k]:
                 rows = acc[idx].reshape(s + 1, -1)
-                acc[idx] = (stacks[s][k] @ rows).reshape(idx.shape + (dim,))
+                acc[idx] = (stacks[s][k - start] @ rows).reshape(idx.shape + (acc.shape[1],))
+    acc = _descend(acc, n, p, j, 1)[0]
     acc *= np.exp(1j * p * plan.global_phase)
     if return_info:
-        info = {"offdiag_types": len(tables), "pairs": [(i, i + 1) for i in tables]}
-        return acc, info
+        pairs = sorted({c.i for c in couplers})
+        return acc, {"offdiag_types": len(pairs), "pairs": [(i, i + 1) for i in pairs]}
     return acc
 
 
@@ -324,7 +435,7 @@ def _photon_tables(n: int, p: int) -> tuple[tuple[np.ndarray, ...], ...]:
     ).reshape(n - 1, p + 1)
     levels, size = [], 1
     for q in range(1, p + 1):
-        occ = np.fromiter(itertools.chain.from_iterable(_occupations(n, q)), np.int64).reshape(-1, n)
+        occ = _occupations(n, q)
         after = np.cumsum(occ[:, :0:-1], axis=1)[:, ::-1]  # photons after mode k
         steps = np.cumsum(drop[np.arange(n - 1), after], axis=1)
         lower = np.arange(len(occ))[:, None] - np.pad(steps, ((0, 0), (1, 0)))

@@ -173,7 +173,7 @@ def test_sample_haar_is_byte_deterministic(capsys):
 # on x86-64; another BLAS may move the last bits)
 LIFT_SHA256 = {
     ("plan", 2): "9c6056ea7cee8c002b4e200e85ead8c01a91e199a4a6805798b21eeefe3318a8",
-    ("plan", 3): "caf617fd49a45d1ef6f5cd6f29a0fd3d4b071dbb0359b061ee007585adbc6274",
+    ("plan", 3): "799a954c7f542d9578060aeaa8dcfb405e9c3923e2965dfe0e00968220d5eb8d",
     ("matrix", 2): "08669b28f482bfc475424585349e4faa37bba057d7d42fc5968f1d3fbf9fa802",
     ("matrix", 3): "31329e0e1330e615d437697dbad2349f038fdeef4debe72a42b8f02d907189bc",
 }

@@ -75,6 +75,24 @@ def test_fock_basis_is_lexicographically_descending():
     assert all(sum(s) == 2 for s in basis.states)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_occupations_are_cached_read_only_and_ordered(n):
+    from sunmesh import symrep
+
+    for p in range(6):
+        occ = symrep._occupations(n, p)
+        assert symrep._occupations(n, p) is occ
+        with pytest.raises(ValueError):
+            occ[0, 0] = 0
+        states = itertools.product(range(p + 1), repeat=n)
+        want = sorted((s for s in states if sum(s) == p), reverse=True)
+        assert occ.tolist() == [list(s) for s in want]
+        first, second = FockBasis(n, p), FockBasis(n, p)
+        assert first.states == tuple(want) and type(first.states[0]) is tuple
+        assert type(first.states[0][0]) is int
+        assert first.index == second.index and first.index is not second.index
+
+
 def test_lifted_generator_offdiagonal_elements():
     basis = FockBasis(2, 2)
     c12 = lifted_generator(basis, 1, 2).toarray()
@@ -446,13 +464,108 @@ def doubled_triangle(n, seed):
     ],
     ids=["clements", "merged-doubled-triangle", "one-mode", "empty"],
 )
-@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", range(5))
 def test_lift_plan_matches_coupler_product(make_plan, p):
     plan = make_plan()
     pairs = [c.i for c in plan.couplers]
     assert len(set(pairs)) < len(pairs) or not pairs
     basis = FockBasis(plan.n, p)
     assert np.abs(lift_plan(basis, plan) - coupler_product(basis, plan)).max() <= 1e-15
+
+
+def random_couplers(n, pairs, seed):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-math.pi, math.pi, size=(len(pairs), 3))
+    couplers = [Coupler(i, i + 1, EulerAngles(*a), ARITY_FULL) for i, a in zip(pairs, angles)]
+    return MeshPlan(n, rng.uniform(-math.pi, math.pi), tuple(couplers))
+
+
+@pytest.mark.parametrize(
+    "make_plan",
+    [
+        lambda: triangle_decompose(random_unitary_qr(5, seed=320)),
+        lambda: canonical_plan(5, seed=321)[1],
+        lambda: triangle_decompose(random_unitary_qr(2, seed=322)),
+        lambda: canonical_plan(3, seed=323)[1],
+        lambda: random_couplers(6, [5, 3, 4, 5, 3, 4, 3], seed=324),
+        lambda: random_couplers(4, [1, 1, 1], seed=325),
+        lambda: random_couplers(5, [3], seed=326),
+        lambda: random_couplers(6, [4, 2, 5, 1, 3, 1, 5, 2, 4], seed=327),
+    ],
+    ids=[
+        "triangle",
+        "canonical",
+        "triangle-n2",
+        "canonical-n3",
+        "modes-3-to-n",
+        "pair-1-2-only",
+        "one-coupler",
+        "level-jumps",
+    ],
+)
+@pytest.mark.parametrize("p", range(5))
+def test_lift_plan_levels_match_coupler_product(make_plan, p):
+    # the level walk, its level changes and its dense expansion against the
+    # dense product of one-coupler lifts
+    plan = make_plan()
+    basis = FockBasis(plan.n, p)
+    assert np.abs(lift_plan(basis, plan) - coupler_product(basis, plan)).max() <= 1e-15
+
+
+def test_sub_mesh_lift_is_exactly_block_diagonal():
+    # a mesh on modes 3..6 conserves the occupations of modes 1 and 2
+    plan = random_couplers(6, [5, 4, 3, 5, 4, 5], seed=328)
+    basis = FockBasis(6, 4)
+    lifted = lift_plan(basis, plan)
+    heads = np.array([s[:2] for s in basis.states])
+    other = (heads[:, None, :] != heads[None, :, :]).any(axis=2)
+    assert other.any() and not lifted[other].any()
+    assert np.abs(lifted @ lifted.conj().T - np.eye(len(basis))).max() < 1e-13
+
+
+@pytest.mark.parametrize("n,p", [(7, 4), (9, 5)])
+def test_warm_lift_builds_no_pair_table(n, p):
+    from sunmesh import symrep
+
+    _, plan = canonical_plan(n, seed=329)
+    lift_plan(FockBasis(n, p), plan)
+    before = symrep._pair_tables.cache_info()
+    lift_plan(FockBasis(n, p), plan)
+    after = symrep._pair_tables.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+
+
+def test_lift_plan_memory_at_n8_p6():
+    import tracemalloc
+
+    _, plan = canonical_plan(8, seed=330)
+    basis = FockBasis(8, 6)
+    dim = len(basis)
+    lift_plan(basis, plan)  # warm: tables and eigensystems cached
+    tracemalloc.start()
+    try:
+        lift_plan(basis, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * dim * dim, peak / (16 * dim * dim)
+
+
+def test_two_mode_lift_builds_one_uncached_stack(monkeypatch):
+    from sunmesh import symrep
+
+    p = 300
+    build, built = symrep._wigner_stacks, []
+
+    def spy(spins, angles):
+        built.append(sorted(spins))
+        return build(spins, angles)
+
+    monkeypatch.setattr(symrep, "_wigner_stacks", spy)
+    lifted = lift_plan(FockBasis(2, p), triangle_decompose(random_unitary_qr(2, seed=331)))
+    assert built == [[p]]
+    assert symrep._spin_eigensystem.cache_info().currsize == 0
+    assert np.abs(lifted @ lifted.conj().T - np.eye(p + 1)).max() < 1e-12
 
 
 def test_lift_plan_chunks_match_one_chunk_route(monkeypatch):
@@ -469,17 +582,33 @@ def test_lift_plan_chunks_match_one_chunk_route(monkeypatch):
         return build(spins, angles)
 
     monkeypatch.setattr(symrep, "_wigner_stacks", spy)
-    lifted = lift_plan(FockBasis(n, p), plan)
+    basis = FockBasis(n, p)
+    lifted = lift_plan(basis, plan)
     assert chunks == [2] * 6
-    # the one-chunk route: every block in one stack, applied in the same order
+    # the one-chunk route: every block in one stack, applied in the same
+    # order, the first coupler (modes 2-3) at level 2 and the rest dense
     couplers = plan.couplers[::-1]
+    assert [c.i for c in couplers[:3]] == [2, 1, 2]
     spins = {s: symrep._spin_eigensystem(s) for s in (1, 2)}
     stacks = build(spins, np.array([tuple(c.angles) for c in couplers]))
-    want = np.eye(dim, dtype=complex)
-    for k, c in enumerate(couplers):
-        for s, idx in symrep._pair_tables(n, p, c.i):
-            rows = want[idx].reshape(s + 1, -1)
-            want[idx] = (stacks[s][k] @ rows).reshape(idx.shape + (dim,))
+
+    def apply(acc, k, tables):
+        for s, idx in tables:
+            rows = acc[idx].reshape(s + 1, -1)
+            acc[idx] = (stacks[s][k] @ rows).reshape(idx.shape + (acc.shape[1],))
+
+    # level 2: rows are the states (m_1, m_2, m_3), columns the rank of
+    # (m_2, m_3) among the 2-mode states of 2 - m_1 photons
+    local = [FockBasis(2, p - s[0]).index[s[1:]] for s in basis.states]
+    level = np.zeros((dim, 3), dtype=complex)
+    level[np.arange(dim), local] = 1
+    apply(level, 0, symrep._pair_tables(n, p)[1])
+    want = np.zeros((dim, dim), dtype=complex)
+    for r, c in itertools.product(range(dim), repeat=2):
+        if basis.states[r][0] == basis.states[c][0]:
+            want[r, c] = level[r, local[c]]
+    for k, c in enumerate(couplers[1:], start=1):
+        apply(want, k, symrep._pair_tables(n, p)[c.i - 1])
     want *= np.exp(1j * p * plan.global_phase)
     assert np.array_equal(lifted, want)
 
@@ -494,23 +623,28 @@ def test_pair_tables_are_cached_shared_and_read_only():
     before = symrep._pair_tables.cache_info()
     lift_plan(second, plan)
     after = symrep._pair_tables.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
-    for i in (1, 2, 3):
-        tables = symrep._pair_tables(4, 3, i)
-        assert symrep._pair_tables(4, 3, i) is tables
-        seen = []
-        for s, idx in tables:
-            assert idx.dtype == np.int64 and idx.shape[0] == s + 1
-            with pytest.raises(ValueError):
-                idx[0, 0] = 0
-            for group in idx.T:
-                states = [first.states[r] for r in group]
-                assert [st[i - 1] for st in states] == list(range(s, -1, -1))
-                assert all(st[i - 1] + st[i] == s for st in states)
-                assert len({st[: i - 1] + st[i + 1 :] for st in states}) == 1
-            seen.extend(idx.ravel().tolist())
-        unpaired = [r for r, st in enumerate(first.states) if st[i - 1] + st[i] == 0]
-        assert sorted(seen + unpaired) == list(range(len(first)))
+    # applied last to first: (3,4) at level 3 in the 3-mode space, (2,3) and
+    # (3,4) at level 2 in the 4-mode space, then (1,2), (2,3), (3,4) dense
+    # through the 4-mode space's tables: two spaces
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    for n, p in [(4, 3), (2, 3), (3, 1), (3, 4), (5, 2), (6, 3)]:
+        basis = FockBasis(n, p)
+        spaces = symrep._pair_tables(n, p)
+        assert symrep._pair_tables(n, p) is spaces and len(spaces) == n - 1
+        for i, tables in enumerate(spaces, start=1):
+            seen = []
+            for s, idx in tables:
+                assert idx.dtype == np.int64 and idx.shape[0] == s + 1
+                with pytest.raises(ValueError):
+                    idx[0, 0] = 0
+                for group in idx.T:
+                    states = [basis.states[r] for r in group]
+                    assert [st[i - 1] for st in states] == list(range(s, -1, -1))
+                    assert all(st[i - 1] + st[i] == s for st in states)
+                    assert len({st[: i - 1] + st[i + 1 :] for st in states}) == 1
+                seen.extend(idx.ravel().tolist())
+            unpaired = [r for r, st in enumerate(basis.states) if st[i - 1] + st[i] == 0]
+            assert sorted(seen + unpaired) == list(range(len(basis)))
 
 
 def test_over_cap_basis_builds_no_pair_table(monkeypatch):
@@ -530,6 +664,8 @@ def test_over_cap_basis_builds_no_pair_table(monkeypatch):
 
 @pytest.mark.parametrize("n,copies", [(5, 1), (5, 6), (2, 4)])
 def test_lift_plan_calls_eigh_at_most_p_times(monkeypatch, n, copies):
+    from sunmesh import symrep
+
     p = 3
     _, plan = canonical_plan(n, seed=306)
     plan = MeshPlan(n, plan.global_phase, plan.couplers * copies)
@@ -540,9 +676,13 @@ def test_lift_plan_calls_eigh_at_most_p_times(monkeypatch, n, copies):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    symrep._spin_eigensystem.cache_clear()
     lift_plan(FockBasis(n, p), plan)
     # two modes hold only s = p; more modes hold every s = 1..p
     assert sorted(sizes) == ([p + 1] if n == 2 else list(range(2, p + 2)))
+    sizes.clear()
+    lift_plan(FockBasis(n, p), plan)
+    assert sizes == []
 
 
 @pytest.mark.parametrize("n,p", [(4, 4), (3, 2)])
