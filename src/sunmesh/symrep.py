@@ -1,31 +1,17 @@
 """Symmetric p-photon representations of n-mode unitaries, two ways.
 
-The generator route lifts each mesh coupler in the C(n+p-1, p)-dimensional
-Fock basis and multiplies the lifts in plan order.  A coupler on modes
-(i, i+1) conserves m_i + m_{i+1} = s and every other occupation, so its
-lift is block-diagonal: one (s+1)x(s+1) spin-s/2 Wigner block per s, the
-bosonic ladder-generator exponential restricted to two modes and s
-photons.  The blocks depend only on s and the angles, so the generator
-route builds them for a chunk of couplers at once, one stack per s, and
-keeps the state tables of each mode pair in a small read-only cache.  It
-follows the paper's recursion SU(n) = SU(2) coupler times SU(n-1) block:
-while the couplers applied so far act only on modes j..n, their product
-is 1 on modes 1..j-1 times the lifts of one SU(n-j+1) element, held on
-the (n-j+2)-mode Fock space whose first mode lumps modes 1..j-1.  A
-coupler there costs O(dim(n-j+2, p) * dim(n-j+1, p) * (p+1)) instead of
-O(dim^2 * (p+1)), so a lift costs the sum of these over the levels its
-couplers act at, plus O(dim^2 * (p+1)) for each coupler applied after
-mode 1 is mixed.
-
-The permanent route needs only the n x n matrix U: each entry of its lift
-is a scaled permanent of a repeated row/column submatrix, and the Laplace
-expansion of those permanents builds the q-photon lift from the
-(q-1)-photon lift, one photon at a time, from read-only rank maps cached
-per (n, p).  Level q costs n^2 * dim_{q-1} * dim_q complex multiply-adds
-in one matmul plus 2n gathers, and chunks its output columns so that its
-two work arrays hold at most dim^2 entries each; no permanent is
-evaluated.  The two routes are algebraically identical and are kept
-independent so each can check the other.
+The generator route (:func:`lift_plan`) lifts each mesh coupler to the
+C(n+p-1, p)-dimensional Fock space as one spin-s/2 Wigner block per photon
+count s of its two modes, and follows the paper's recursion SU(n) = SU(2)
+coupler times SU(n-1) block, so a coupler on modes j..n works in the
+smaller Fock space it acts on.  The permanent route
+(:func:`lift_via_permanents`) needs only the n x n matrix U and builds the
+lift one photon at a time by the Laplace expansion of the permanents of
+its entries.  The two routes are algebraically identical and are kept
+independent so each can check the other.  Both find a state's row by one
+rank, the combinatorial number system of :func:`_rank`: every state table
+either route builds is that rank or a shift of it read from the rank's one
+binomial table.
 
 A configurable dimension cap (``TRIMESH_DIM_CAP``, default 5000) is checked
 when a :class:`FockBasis` or a permanent-route lift starts, before any
@@ -69,9 +55,7 @@ _SPIN_CACHE = 32  # Wigner eigensystems kept for s <= 32, about 0.4 MB in all
 
 def dimension_cap() -> int:
     """Active lifted-dimension cap, overridable via TRIMESH_DIM_CAP."""
-    raw = os.environ.get("TRIMESH_DIM_CAP")
-    if raw is None:
-        return _DEFAULT_DIM_CAP
+    raw = os.environ.get("TRIMESH_DIM_CAP", str(_DEFAULT_DIM_CAP))
     try:
         cap = int(raw)
     except ValueError:
@@ -84,16 +68,17 @@ def dimension_cap() -> int:
 def basis_dimension(n: int, p: int) -> int:
     """Number of p-photon states on n modes: C(n+p-1, p), exact.
 
-    Raises :class:`OverflowError` if the count does not fit in a signed
-    64-bit integer, rather than silently wrapping.
+    Counted one factor at a time, so it raises :class:`OverflowError` as
+    soon as the count passes a signed 64-bit integer, without building a
+    huge binomial or silently wrapping.
     """
     check_int(n, "n", 1)
     check_int(p, "p", 0)
-    dim = math.comb(n + p - 1, p)
-    if dim > _INT64_MAX:
-        raise OverflowError(
-            f"basis dimension C({n + p - 1},{p}) exceeds 64-bit integer range"
-        )
+    k, dim = min(p, n - 1), 1
+    for f in range(1, k + 1):
+        dim = dim * (n + p - 1 - k + f) // f  # C(n+p-1-k+f, f), growing with f
+        if dim > _INT64_MAX:
+            raise OverflowError(f"basis dimension C({n + p - 1},{p}) exceeds 64-bit integer range")
     return dim
 
 
@@ -122,54 +107,87 @@ def _occupations(n: int, p: int) -> np.ndarray:
     return occ
 
 
+def _rank_offsets(n: int, p: int) -> np.ndarray:
+    """The rank's binomial table: (n-1, p+1), entry [k-1, t] = C(t+n-k-1, n-k).
+
+    Entry [k-1, t] counts the states of fewer than t photons on the n - k
+    modes after mode k, at most dim(n, p), so every caller's entries are
+    exact in int64 (building the array raises rather than wrap).
+    """
+    return np.array(
+        [[math.comb(t + r - 1, r) for t in range(p + 1)] for r in range(n - 1, 0, -1)], np.int64
+    ).reshape(n - 1, p + 1)
+
+
+def _rank(occ: np.ndarray) -> np.ndarray:
+    """Row of each state of ``occ`` (shape (..., n)) in its :class:`FockBasis`.
+
+    In lexicographically descending order the row of m is the combinatorial
+    number system sum_k C(t_k + n-k-1, n-k) over k = 1..n-1, t_k being the
+    photons after mode k: the states before m are those that put more
+    photons on mode k and the same on modes 1..k-1, for some k.
+    """
+    n = occ.shape[-1]
+    after = occ.sum(axis=-1, keepdims=True) - np.cumsum(occ[..., :-1], axis=-1)
+    table = _rank_offsets(n, int(after.max(initial=0)))
+    return table[np.arange(n - 1), after].sum(axis=-1)
+
+
 class FockBasis:
     """Ordered p-photon occupation basis on n modes.
 
-    States are tuples (m_1, ..., m_n) with sum p, listed in lexicographically
-    descending order; ``index`` maps a state back to its row.  Both lifting
-    routes must share one basis object so their matrices are entrywise
-    comparable.  A dimension above :func:`dimension_cap` raises
-    :class:`ResourceError` before any state is enumerated.
+    The read-only (dim, n) ``occupations`` array lists the states with sum
+    p in lexicographically descending order, so a state's row is its
+    :func:`_rank`.  ``states`` (tuples) and ``index`` (state tuple to row)
+    are built on first read; no lift reads them.  A dimension above
+    :func:`dimension_cap` raises :class:`ResourceError` before any state is
+    enumerated.
     """
 
     def __init__(self, n: int, p: int):
         self.n = check_int(n, "n", 1)
         self.p = check_int(p, "p", 0)
-        _capped_dimension(n, p)
-        self.states: tuple[tuple[int, ...], ...] = tuple(map(tuple, _occupations(n, p).tolist()))
-        self.index: dict[tuple[int, ...], int] = {s: r for r, s in enumerate(self.states)}
+        self.dim = _capped_dimension(n, p)
+
+    @property
+    def occupations(self) -> np.ndarray:
+        return _occupations(self.n, self.p)
+
+    @functools.cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.occupations.tolist()))
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {s: r for r, s in enumerate(self.states)}
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.dim
 
     def __repr__(self) -> str:
-        return f"FockBasis(n={self.n}, p={self.p}, dim={len(self.states)})"
+        return f"FockBasis(n={self.n}, p={self.p}, dim={self.dim})"
 
 
-def lifted_generator(basis: FockBasis, i: int, j: int) -> "scipy.sparse.csr_matrix":
-    """Sparse ladder generator C_ij in the given basis.
+def lifted_generator(basis: FockBasis, i: int, j: int) -> np.ndarray:
+    """Ladder generator C_ij in the given basis, as a dense float64 array.
 
     Off-diagonal action: C_ij maps |m> to sqrt((m_i + 1) * m_j) times the
     state with one photon moved from mode j to mode i.  The diagonal
     generator C_ii counts the photons in mode i.  The lift of C_ji is the
-    conjugate transpose of the lift of C_ij.
+    conjugate transpose of the lift of C_ij.  The array takes 8 * dim^2
+    bytes, 200 MB at the default cap.
     """
-    from scipy.sparse import csr_matrix
-
     for name, k in (("i", i), ("j", j)):
         if check_int(k, name, 1) > basis.n:
             raise ValidationError(f"{name} must be in 1..{basis.n}, got {k}")
-    rows, cols, vals = [], [], []
-    for c, state in enumerate(basis.states):
-        if state[j - 1]:
-            target = list(state)
-            target[i - 1] += 1
-            target[j - 1] -= 1
-            rows.append(basis.index[tuple(target)])
-            cols.append(c)
-            vals.append(math.sqrt(target[i - 1] * state[j - 1]))
-    dim = len(basis)
-    return csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.float64)
+    occ = basis.occupations
+    cols = np.flatnonzero(occ[:, j - 1])
+    target = occ[cols]
+    target[:, j - 1] -= 1
+    target[:, i - 1] += 1
+    out = np.zeros((basis.dim, basis.dim))
+    out[_rank(target), cols] = np.sqrt(target[:, i - 1] * occ[cols, j - 1])
+    return out
 
 
 @functools.lru_cache(maxsize=_PAIR_TABLE_CACHE)
@@ -180,28 +198,23 @@ def _pair_tables(n: int, p: int) -> tuple[tuple[tuple[int, np.ndarray], ...], ..
     (s+1, groups) table lists the rows of ``FockBasis(n, p)`` with
     m_i + m_{i+1} = s, one column per setting of the other occupations,
     rows ordered m_i = s, ..., 0 as in ``FockBasis(2, s)``.  The s = 0
-    block is 1.  A group starts at its state with m_{i+1} = 0.  Moving a
-    photons from mode i to mode i+1 changes only t_i, the photons after
-    mode i, so by the rank formula of :func:`_photon_tables` the row grows
-    by the number of states of t_i .. t_i + a - 1 photons on the n - i
-    modes after mode i.  Shared read-only, at most (n-1) * dim indices;
-    callers hold a :class:`FockBasis` of p photons on at least n modes, so
-    the dimension cap has been checked.
+    block is 1.  A group starts at its state with m_{i+1} = 0; moving a
+    photons from mode i to mode i+1 raises only t_i, by a, which shifts
+    the :func:`_rank` by a difference of two entries of its table.  Shared
+    read-only, at most (n-1) * dim indices; callers hold a
+    :class:`FockBasis` of p photons on at least n modes, so the dimension
+    cap has been checked.
     """
     occ = _occupations(n, p)
-    after = p - np.cumsum(occ, axis=1)
-    # below[i-1, t]: the states of fewer than t photons on the modes after i
-    below = np.array(
-        [[math.comb(r + t - 1, r) for t in range(p + 1)] for r in range(n - 1, 0, -1)], np.int64
-    ).reshape(n - 1, p + 1)
+    after, offsets = p - np.cumsum(occ, axis=1), _rank_offsets(n, p)
     pair, head = np.nonzero(((occ[:, :-1] > 0) & (occ[:, 1:] == 0)).T)
     pair_photons, later = occ[head, pair], after[head, pair]
     tables = [[] for _ in range(n - 1)]
     for s in range(1, p + 1):
         pick = pair_photons == s
         q, t = pair[pick], later[pick]
-        rows = head[pick, None] + below[q[:, None], t[:, None] + np.arange(s + 1)]
-        rows -= below[q, t][:, None]
+        rows = head[pick, None] + offsets[q[:, None], t[:, None] + np.arange(s + 1)]
+        rows -= offsets[q, t][:, None]
         rows.flags.writeable = False
         cut = np.searchsorted(q, np.arange(n))
         for i in range(n - 1):
@@ -249,52 +262,47 @@ def _wigner_stacks(spins: dict, angles: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def lift_coupler(basis: FockBasis, c: Coupler) -> np.ndarray:
-    """Lift one adjacent coupler to the p-photon basis.
+    """Lift one adjacent coupler to the p-photon basis (see :func:`lift_plan`).
 
     The z rotations lift to diagonal phases exp(i*(theta/2)*(m_i - m_j))
-    and the middle rotation to exp(-(beta/2)*(C_ij - C_ji)).  The lift is
-    block-diagonal, one spin-s/2 Wigner block per s = m_i + m_j (see
-    :func:`lift_plan`).
+    and the middle rotation to exp(-(beta/2)*(C_ij - C_ji)).
     """
     return lift_plan(basis, MeshPlan(basis.n, 0.0, (c,)))
 
 
-def _widen(acc: np.ndarray, k: int, photons) -> np.ndarray:
+def _widen(acc: np.ndarray, edge: list, photons) -> np.ndarray:
     """Re-embed lifts on the last k modes one mode further down the mesh.
 
     At level j = n - k + 1 the running product is 1 on modes 1..j-1 times
     the lifts L_s, s = 0..p, of one unitary on the last k modes.  ``acc``
     holds them on the (k+1)-mode Fock space whose first mode lumps modes
-    1..j-1: L_s sits in the rows where that mode holds p - s photons, which
-    start at row dim(k+1, s-1), and in its first dim(k, s) columns.  For
-    each r in ``photons`` the result stacks the block-diagonal sum of L_s
-    over s <= r, each L_s at that same offset: ``range(p + 1)`` gives
-    level j - 1, and ``(p,)`` at k = n - 1 gives the dense product.
-    Each block is one slice copy.
+    1..j-1: L_s sits in the rows where that mode holds p - s photons, from
+    its rank offset ``edge[s]`` = C(s+k-1, k), s = 0..p+1, to edge[s+1],
+    and in its first dim(k, s) columns.  For each r in ``photons`` the
+    result stacks the block-diagonal sum of L_s over s <= r, each at that
+    same offset: ``range(p + 1)`` gives level j - 1, and ``(p,)`` at
+    k = n - 1 the dense product.  Each block is one slice copy.
     """
-    rows = sum(math.comb(k + r, r) for r in photons)
-    out = np.zeros((rows, math.comb(k + photons[-1], k)), dtype=np.complex128)
+    out = np.zeros((sum(edge[r + 1] for r in photons), edge[-1]), dtype=np.complex128)
     top = 0
     for r in photons:
-        lo = 0
-        for s in range(r + 1):
-            hi = lo + math.comb(k + s - 1, s)
+        for lo, hi in itertools.pairwise(edge[: r + 2]):
             out[top + lo : top + hi, lo:hi] = acc[lo:hi, : hi - lo]
-            lo = hi
-        top += lo
+        top += edge[r + 1]
     return out
 
 
-def _descend(acc: np.ndarray, n: int, p: int, j: int, low: int) -> tuple[np.ndarray, int]:
-    """Step the running product from level j down to level ``low``.
+def _descend(acc: np.ndarray, edges: list, p: int, j: int, low: int) -> tuple[np.ndarray, int]:
+    """Step the running product from level j down to ``low``, 1 being dense.
 
-    Level 1 is the dense dim x dim product, reached through level 2.
+    Row j - 1 of ``edges``, the rank table of n modes and p + 1 photons,
+    holds the offsets of level j's lumped mode.
     """
     while j > max(low, 2):
         j -= 1
-        acc = _widen(acc, n - j, range(p + 1))
+        acc = _widen(acc, edges[j - 1], range(p + 1))
     if low == 1 and j == 2:
-        acc, j = _widen(acc, n - 1, (p,)), 1
+        acc, j = _widen(acc, edges[0], (p,)), 1
     return acc, j
 
 
@@ -303,27 +311,22 @@ def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
 
     A coupler on (i, i+1) acts on each group of s+1 states that share
     s = m_i + m_{i+1} and the other occupations through one (s+1)x(s+1)
-    Wigner block that depends only on s and the angles.  The blocks come
-    from the plan's angle table and one small ``eigh`` per s, cached for
-    s <= 32, as one (k, s+1, s+1) stack per s for each chunk of k
-    couplers; a chunk's blocks hold at most dim^2 entries.  Couplers are
-    applied last to first, each multiplying the running product from the
-    left, one matmul per s for all its groups at once.
+    Wigner block that depends only on s and the angles, built for a chunk
+    of couplers at a time (:func:`_wigner_stacks`) so that a chunk's blocks
+    hold at most dim^2 entries.  Couplers are applied last to first, each
+    multiplying the running product from the left, one matmul per s for
+    all its groups at once.
 
-    The running product follows the paper's recursion.  While every
-    coupler applied so far acts on modes j..n (level j), the product is 1
-    on modes 1..j-1 times the lifts of one SU(n-j+1) element, and it is
-    held on the (n-j+2)-mode Fock space whose first mode lumps modes
-    1..j-1: a D_j x W_j array, D_j = dim(n-j+2, p) and W_j = dim(n-j+1, p)
-    (see :func:`_widen`).  A coupler reaching mode j-1 steps one level
-    down by (p+1)(p+2)/2 slice copies; the dense dim x dim product is
-    built only when a coupler touches mode 1 or the plan ends, and a plan
-    whose first applied coupler touches mode 1 starts dense.  A coupler at
-    level j costs O(D_j * W_j * (p+1)) and a dense one O(dim^2 * (p+1)),
-    so a triangle plan, n-j couplers at each level j = 2..n-1 and n-1
-    dense, costs sum_j (n-j) D_j W_j (p+1) + (n-1) dim^2 (p+1).  The state
-    tables are cached per (modes, p).  The global phase enters once
-    per photon.  With ``return_info=True`` also returns
+    The running product follows the paper's recursion SU(n) = SU(2)
+    coupler times SU(n-1) block.  While every coupler applied so far acts
+    on modes j..n (level j), the product is 1 on modes 1..j-1 times the
+    lifts of one SU(n-j+1) element, held as a D_j x W_j array on the
+    (n-j+2)-mode Fock space whose first mode lumps modes 1..j-1,
+    D_j = dim(n-j+2, p) and W_j = dim(n-j+1, p) (see :func:`_widen`).  The
+    dense dim x dim product is built only when a coupler touches mode 1
+    or the plan ends.  A coupler at level j costs O(D_j * W_j * (p+1)) and
+    a dense one O(dim^2 * (p+1)).  The global phase enters once per
+    photon.  With ``return_info=True`` also returns
     ``{"offdiag_types", "pairs"}`` describing the generator economy.
     """
     if basis.n != plan.n:
@@ -345,19 +348,20 @@ def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
         for s in present
     }
     chunk = max(1, dim * dim // max(1, sum((s + 1) ** 2 for s in spins)))
+    edges = _rank_offsets(n, p + 1).tolist()
     if levels and levels[0] > 1:
-        acc, j = _descend(np.ones((p + 1, 1), dtype=np.complex128), n, p, n, levels[0])
+        acc, j = _descend(np.ones((p + 1, 1), dtype=np.complex128), edges, p, n, levels[0])
     else:
         acc, j = np.eye(dim, dtype=np.complex128), 1
     for start in range(0, len(couplers), chunk):
         stacks = _wigner_stacks(spins, angles[start : start + chunk])
         for k in range(start, min(start + chunk, len(couplers))):
             if levels[k] < j:
-                acc, j = _descend(acc, n, p, j, levels[k])
+                acc, j = _descend(acc, edges, p, j, levels[k])
             for s, idx in tables[k]:
                 rows = acc[idx].reshape(s + 1, -1)
                 acc[idx] = (stacks[s][k - start] @ rows).reshape(idx.shape + (acc.shape[1],))
-    acc = _descend(acc, n, p, j, 1)[0]
+    acc = _descend(acc, edges, p, j, 1)[0]
     acc *= np.exp(1j * p * plan.global_phase)
     if return_info:
         pairs = sorted({c.i for c in couplers})
@@ -421,34 +425,30 @@ def _photon_tables(n: int, p: int) -> tuple[tuple[np.ndarray, ...], ...]:
     holds sqrt(m_j); both are (n, dim_q).  For the states k of
     ``FockBasis(n, q - 1)``, ``upper[i]`` holds the row of k + e_i in
     ``FockBasis(n, q)`` and ``weight[i]`` holds sqrt(k_i + 1); both are
-    (n, dim_{q-1}).  All are read-only.  The rows come from the
-    combinatorial number system: in descending lexicographic
-    order a state's row is sum_k C(t_k + n - k - 1, n - k), t_k being the
-    photons after mode k, so taking a photon from mode j lowers the row by
-    C(t_k + n - k - 2, n - k - 1), the number of (t_k - 1)-photon states
-    on the n - k modes after k, for each k < j.  Callers check the
-    dimension cap first.
+    (n, dim_{q-1}).  All are read-only.  The rows are rank shifts read
+    from the table of :func:`_rank`: a photon on mode j changes t_k, the
+    photons after mode k, by one for each k < j, and each such change moves
+    the row by one difference of adjacent entries, C(t + n-k-2, n-k-1)
+    for the step between t - 1 and t photons.  Callers check the dimension
+    cap first.
     """
-    drop = np.array(
-        [[basis_dimension(n - k, t - 1) if t else 0 for t in range(p + 1)] for k in range(1, n)],
-        np.int64,
-    ).reshape(n - 1, p + 1)
-    levels, size = [], 1
+    # drop[k, t]: the row shift as t_k goes from t - 1 to t; row 0 is 0, so
+    # column j-1 of a cumsum over the modes sums the shifts for k < j
+    drop = np.zeros((n, p + 1), np.int64)
+    drop[1:] = np.diff(_rank_offsets(n, p), axis=1, prepend=0)
+    modes, levels, below = np.arange(n), [], np.zeros((1, n), np.int64)
     for q in range(1, p + 1):
         occ = _occupations(n, q)
-        after = np.cumsum(occ[:, :0:-1], axis=1)[:, ::-1]  # photons after mode k
-        steps = np.cumsum(drop[np.arange(n - 1), after], axis=1)
-        lower = np.arange(len(occ))[:, None] - np.pad(steps, ((0, 0), (1, 0)))
-        lower = np.where(occ > 0, lower, 0).T.copy()
+        after = q - np.cumsum(occ, axis=1) + occ  # column k: t_k, t_0 = q
+        lower = np.arange(len(occ))[:, None] - np.cumsum(drop[modes, after], axis=1)
+        upper = np.arange(len(below))[:, None] + np.cumsum(drop[modes, below + 1], axis=1)
+        lower, upper = np.where(occ > 0, lower, 0).T.copy(), upper.T.copy()
         root = np.sqrt(occ.T)
-        modes, rows = np.nonzero(occ.T)
-        upper = np.empty((n, size), np.int64)
-        upper[modes, lower[modes, rows]] = rows
         weight = np.take_along_axis(root, upper, axis=1)
         for table in (lower, root, upper, weight):
             table.flags.writeable = False
         levels.append((lower, root, upper, weight))
-        size = len(occ)
+        below = after
     return tuple(levels)
 
 
@@ -496,9 +496,7 @@ def lift_via_permanents(u, p: int, tol: float = 1e-10) -> np.ndarray:
     permanents (:func:`_lift_by_photons`), never one entry at a time, so
     no permanent is evaluated: sum_q n^2 * dim_{q-1} * dim_q multiply-adds,
     with work arrays of at most dim^2 entries each besides the two
-    levels held.  On one x86-64 core with one BLAS thread, n=4, p=4
-    (dim 35) takes about 0.4 ms, n=9, p=5 (dim 1287) about 0.19 s and
-    n=8, p=6 (dim 1716) about 0.4 s.  The basis ordering matches
+    levels held (timings in the README).  The basis ordering matches
     :class:`FockBasis`, so this output is directly comparable with
     :func:`lift_plan`.  The dimension cap is checked before any table is
     built, and p above 20 is refused.

@@ -408,6 +408,50 @@ def test_validate_haar_path_loads_no_scipy(tmp_path):
     assert json.loads(Path(out_path).read_text())["samples"] == 2000
 
 
+def test_library_runs_without_scipy():
+    # SciPy is a test-only dependency: with every scipy import blocked, the
+    # generators, both lifts and the Haar validation still run
+    src = str(Path(sunmesh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from sunmesh import (FockBasis, HaarSpec, lift_plan, lift_via_permanents,\n"
+        "    lifted_generator, reconstruct, sample_haar, validate_haar)\n"
+        "basis, plan = FockBasis(4, 2), sample_haar(HaarSpec(4, 3))\n"
+        "assert lifted_generator(basis, 1, 2).shape == (10, 10)\n"
+        "diff = abs(lift_plan(basis, plan) - lift_via_permanents(reconstruct(plan), 2)).max()\n"
+        "assert diff < 1e-12, diff\n"
+        "assert validate_haar(3, 2000)['samples'] == 2000\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n,p", [("100000000", "3000000"), ("1000000", "100000")])
+def test_lift_dimension_overflow_exits_4_at_once(n, p):
+    # the dimension count stops at 2^63 - 1 instead of building C(n+p-1, p)
+    src = str(Path(sunmesh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, time\n"
+        "from sunmesh.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main(['lift', '--n', {n!r}, '--p', {p!r}])\n"
+        "print(code, time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    code, seconds = proc.stdout.split()
+    assert code == "4" and float(seconds) < 1.0, proc.stdout
+    assert "exceeds 64-bit integer range" in proc.stderr
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         ["sunmesh", "lift", "--n", "9", "--p", "5"], capture_output=True, text=True

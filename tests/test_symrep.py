@@ -1,10 +1,10 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.sparse import issparse
 
 import radical_algebra
 
@@ -58,6 +58,29 @@ def test_basis_dimension_overflow_is_loud():
         basis_dimension(36, 35)  # C(70, 35) > 2^63 - 1
 
 
+def test_basis_dimension_matches_comb_across_int64_range():
+    crossed = False
+    for n in range(1, 80):
+        for p in range(80):
+            want = math.comb(n + p - 1, p)
+            if want > 2**63 - 1:
+                crossed = True
+                with pytest.raises(OverflowError):
+                    basis_dimension(n, p)
+            else:
+                assert basis_dimension(n, p) == want, (n, p)
+    assert crossed
+
+
+@pytest.mark.parametrize("n,p", [(10**8, 3 * 10**6), (10**6, 10**5), (2, 10**19), (10**18, 3)])
+def test_huge_dimensions_fail_at_once(n, p):
+    # the count stops once it passes 2^63 - 1, so no huge binomial is built
+    with pytest.raises(OverflowError):
+        basis_dimension(n, p)
+    with pytest.raises(OverflowError):
+        FockBasis(n, p)
+
+
 def test_basis_dimension_validation():
     with pytest.raises(ValidationError):
         basis_dimension(0, 2)
@@ -93,27 +116,66 @@ def test_occupations_are_cached_read_only_and_ordered(n):
         assert first.index == second.index and first.index is not second.index
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rank_numbers_every_basis_in_order(n):
+    from sunmesh import symrep
+
+    # every p with dimension <= 5000, up to p = 100 for one and two modes,
+    # plus the largest two-mode basis
+    sizes = [p for p in range(101) if basis_dimension(n, p) <= 5000]
+    for p in sizes + ([4999] if n == 2 else []):
+        dim = basis_dimension(n, p)
+        rank = symrep._rank(symrep._occupations(n, p))
+        assert rank.dtype == np.int64 and np.array_equal(rank, np.arange(dim)), (n, p)
+
+
+def test_lifts_read_no_state_tuples(monkeypatch, tmp_path, capsys):
+    from sunmesh import cli, matrix_to_json, plan_to_json
+
+    def forbidden(self):
+        raise AssertionError("a lift read the tuple views of FockBasis")
+
+    monkeypatch.setattr(FockBasis, "states", property(forbidden))
+    monkeypatch.setattr(FockBasis, "index", property(forbidden))
+    m, plan = canonical_plan(4, seed=47)
+    basis = FockBasis(4, 3)
+    lifted = lift_plan(basis, plan)
+    assert np.abs(lifted - lift_via_permanents(m, 3)).max() < 1e-12
+    one = lift_coupler(basis, plan.couplers[0])
+    assert np.abs(one @ one.conj().T - np.eye(20)).max() < 1e-13
+    assert lifted_generator(basis, 2, 3).shape == (20, 20)
+    ppath, mpath = tmp_path / "plan.json", tmp_path / "matrix.json"
+    ppath.write_text(json.dumps(plan_to_json(plan)))
+    mpath.write_text(json.dumps(matrix_to_json(m)))
+    out = str(tmp_path / "out.json")
+    for path in (ppath, mpath):
+        assert cli.main(["lift", str(path), "--p", "3", "--output", out]) == 0
+    assert cli.main(["lift", "--n", "4", "--p", "3"]) == 0
+    assert capsys.readouterr().out == "20\n"
+
+
 def test_lifted_generator_offdiagonal_elements():
     basis = FockBasis(2, 2)
-    c12 = lifted_generator(basis, 1, 2).toarray()
+    c12 = lifted_generator(basis, 1, 2)
     # photon moved from mode 2 to mode 1: <m+e1-e2| C_12 |m> = sqrt((m1+1) m2)
     want = np.zeros((3, 3))
     want[0, 1] = math.sqrt(2.0)  # (1,1) -> (2,0)
     want[1, 2] = math.sqrt(2.0)  # (0,2) -> (1,1)
     assert np.array_equal(c12, want)
-    c21 = lifted_generator(basis, 2, 1).toarray()
+    c21 = lifted_generator(basis, 2, 1)
     assert np.array_equal(c21, want.T)
 
 
 def test_lifted_generator_diagonal_counts_photons():
     basis = FockBasis(3, 2)
-    c22 = lifted_generator(basis, 2, 2).toarray()
+    c22 = lifted_generator(basis, 2, 2)
     assert np.array_equal(np.diag(c22), [s[1] for s in basis.states])
 
 
-def test_lifted_generator_is_sparse_and_validated():
+def test_lifted_generator_is_dense_and_validated():
     basis = FockBasis(3, 2)
-    assert issparse(lifted_generator(basis, 1, 3))
+    g = lifted_generator(basis, 1, 3)
+    assert type(g) is np.ndarray and g.dtype == np.float64 and g.shape == (6, 6)
     with pytest.raises(ValidationError):
         lifted_generator(basis, 0, 1)
     with pytest.raises(ValidationError):
@@ -137,14 +199,15 @@ def test_commutators_close_exactly(n, p):
 
 
 def test_library_entries_match_exact_radicals_bitwise():
-    basis = FockBasis(4, 3)
-    for a, b in [(0, 1), (1, 3), (2, 2)]:
-        lib = lifted_generator(basis, a + 1, b + 1).toarray()
-        exact = radical_algebra.exact_generator(basis, a, b)
-        assert np.count_nonzero(lib) == len(exact)
-        for (r, c), terms in exact.items():
-            ((m, f),) = terms.items()
-            assert lib[r, c] == f * math.sqrt(m)
+    for n, p in [(2, 3), (3, 3), (4, 3)]:
+        basis = FockBasis(n, p)
+        for a, b in itertools.product(range(n), repeat=2):
+            lib = lifted_generator(basis, a + 1, b + 1)
+            exact = radical_algebra.exact_generator(basis, a, b)
+            assert np.count_nonzero(lib) == len(exact), (n, a, b)
+            for (r, c), terms in exact.items():
+                ((m, f),) = terms.items()
+                assert lib[r, c] == f * math.sqrt(m), (n, a, b, r, c)
 
 
 # --- lifting -----------------------------------------------------------------
@@ -195,13 +258,13 @@ def test_lift_coupler_rejects_nonadjacent():
 @pytest.mark.parametrize("n,p", [(2, 0), (2, 1), (2, 6), (3, 4), (5, 3)])
 def test_lift_coupler_matches_dense_expm_reference(n, p):
     # diag(e^{i alpha d/2}) expm(-(beta/2)(G - G^T)) diag(e^{i gamma d/2}),
-    # d = m_i - m_{i+1}, built from the sparse generator independently of
+    # d = m_i - m_{i+1}, built from the dense generator independently of
     # the block route
     basis = FockBasis(n, p)
     rng = np.random.default_rng(100 * n + p)
     for i in range(1, n):
         alpha, beta, gamma = rng.uniform(-math.pi, math.pi, size=3)
-        g = lifted_generator(basis, i, i + 1).toarray()
+        g = lifted_generator(basis, i, i + 1)
         d = np.array([s[i - 1] - s[i] for s in basis.states], dtype=float)
         want = (
             np.exp(0.5j * alpha * d)[:, None]
