@@ -8,128 +8,24 @@ directly in angle coordinates, and lifts plans to multi-photon symmetric
 representations by two independent routes.
 """
 
-from .errors import (
-    DegenerateInputError,
-    FormatError,
-    ResourceError,
-    ToleranceError,
-    ValidationError,
-)
-from .linalg import (
-    as_complex_matrix,
-    expm_skew_hermitian,
-    is_unitary,
-    matrix_from_json,
-    matrix_to_json,
-    project_to_su,
-    random_unitary_qr,
-)
-from .su2 import (
-    EulerAngles,
-    euler_from_su2,
-    push_phase_through_coupler,
-    su2_from_euler,
-    zeroing_angles,
-)
-from .mesh import (
-    ARITY_CONSTRAINED,
-    ARITY_FULL,
-    Coupler,
-    MeshPlan,
-    coupler_matrix,
-    depth,
-    embed_coupler,
-    merge_adjacent,
-    multiplicity,
-    parameter_count,
-    plan_from_json,
-    plan_to_json,
-    reconstruct,
-    render,
-)
-from .decompose import (
-    RecursiveView,
-    canonicalize,
-    clements_decompose,
-    generator_ledger,
-    loss_analysis,
-    reck_decompose,
-    recursive_view,
-    triangle_decompose,
-)
-from .haar import (
-    HaarSpec,
-    beta_density,
-    sample_beta,
-    sample_coset,
-    sample_haar,
-    sample_unitaries,
-    validate_haar,
-)
-from .symrep import (
-    FockBasis,
-    basis_dimension,
-    lift_coupler,
-    lift_plan,
-    lift_via_permanents,
-    lifted_generator,
-    permanent_ryser,
-)
+from . import decompose, errors, haar, linalg, mesh, su2, symrep
+from .errors import *
+from .linalg import *
+from .su2 import *
+from .mesh import *
+from .decompose import *
+from .haar import *
+from .symrep import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARITY_CONSTRAINED",
-    "ARITY_FULL",
-    "Coupler",
-    "DegenerateInputError",
-    "EulerAngles",
-    "FockBasis",
-    "FormatError",
-    "HaarSpec",
-    "MeshPlan",
-    "RecursiveView",
-    "ResourceError",
-    "ToleranceError",
-    "ValidationError",
-    "as_complex_matrix",
-    "basis_dimension",
-    "beta_density",
-    "canonicalize",
-    "clements_decompose",
-    "coupler_matrix",
-    "depth",
-    "embed_coupler",
-    "euler_from_su2",
-    "expm_skew_hermitian",
-    "generator_ledger",
-    "is_unitary",
-    "lift_coupler",
-    "lift_plan",
-    "lift_via_permanents",
-    "lifted_generator",
-    "loss_analysis",
-    "matrix_from_json",
-    "matrix_to_json",
-    "merge_adjacent",
-    "multiplicity",
-    "parameter_count",
-    "permanent_ryser",
-    "plan_from_json",
-    "plan_to_json",
-    "project_to_su",
-    "push_phase_through_coupler",
-    "random_unitary_qr",
-    "reck_decompose",
-    "reconstruct",
-    "recursive_view",
-    "render",
-    "sample_beta",
-    "sample_coset",
-    "sample_haar",
-    "sample_unitaries",
-    "triangle_decompose",
-    "validate_haar",
-    "zeroing_angles",
+    *errors.__all__,
+    *linalg.__all__,
+    *su2.__all__,
+    *mesh.__all__,
+    *decompose.__all__,
+    *haar.__all__,
+    *symrep.__all__,
     "__version__",
 ]

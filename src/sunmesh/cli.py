@@ -146,7 +146,7 @@ def cmd_compare(args) -> int:
     if args.input is not None:
         m = matrix_from_json(_read_json(args.input))
     elif args.n is not None:
-        m = np.eye(args.n, dtype=np.complex128)
+        m = np.eye(check_int(args.n, "n", 2), dtype=np.complex128)
     else:
         raise ValidationError("compare needs --n or an input matrix")
     rows = _compare_rows(m, args.tol, args.loss_db)

@@ -36,7 +36,7 @@ from .mesh import (
     depth,
     reconstruct,
 )
-from .su2 import EulerAngles, push_phase_through_coupler, su2_from_euler, zeroing_angles
+from .su2 import EulerAngles, push_phase_through_coupler, zeroing_angles
 
 __all__ = [
     "triangle_decompose",
@@ -63,6 +63,22 @@ def _elimination_angles(a: complex, b: complex) -> EulerAngles:
     return zeroing_angles(a, b)
 
 
+def _rotate(u: np.ndarray, v: np.ndarray, x: complex, y: complex) -> float:
+    """Set ``(u, v)`` to ``K^H (u, v)`` in place and return ``rho = |(x, y)|``.
+
+    ``K^H = [[x*, y*], [-y, x]] / rho`` inverts the coupler of
+    ``zeroing_angles(x, y)``, built from the entries it zeroes; rho = 0 is a no-op.
+    """
+    rho = math.hypot(abs(x), abs(y))
+    if rho:
+        x, y = complex(x) / rho, complex(y) / rho
+        top = x.conjugate() * u + y.conjugate() * v
+        v *= x
+        v -= y * u
+        u[...] = top
+    return rho
+
+
 def triangle_decompose(m, tol: float = 1e-10) -> MeshPlan:
     """Factor a unitary into the descending-chain triangle mesh.
 
@@ -74,39 +90,31 @@ def triangle_decompose(m, tol: float = 1e-10) -> MeshPlan:
     of each chain come out with ``gamma == alpha`` exactly, which is what
     :func:`canonicalize` later relies on.
     """
-    return _eliminate(
-        m, tol, "triangle_decompose", lambda n, k: [(r, r + 1) for r in range(n - 2, k - 1, -1)]
-    )
+    return _eliminate(m, tol, "triangle_decompose", adjacent=True)
 
 
-def _eliminate(m, tol: float, op: str, column_pairs) -> MeshPlan:
-    """Zero the SU(n) part of ``m`` column by column: ``column_pairs(n, k)``
-    lists the 0-based (pivot, target) rows of column k in application order.
+def _eliminate(m, tol: float, op: str, adjacent: bool) -> MeshPlan:
+    """Zero the SU(n) part of ``m`` column by column, bottom-up: row q of
+    column k is rotated against row q-1 if ``adjacent``, else against row k.
     """
     a = as_complex_matrix(m)
     if not is_unitary(a, tol):
         raise ValidationError(f"{op} requires a unitary matrix")
     n = a.shape[0]
     phi, w = project_to_su(a, tol)
-    w = w.copy()
     couplers = []
     for k in range(n - 1):
-        for p, q in column_pairs(n, k):
-            ang = _elimination_angles(w[p, k], w[q, k])
-            rows = [p, q]
-            w[rows, k + 1 :] = su2_from_euler(ang).conj().T @ w[rows, k + 1 :]
-            # The rotated column entries are known analytically: pivot
-            # becomes the pair norm, the target entry exactly zero.
-            w[p, k] = math.hypot(abs(w[p, k]), abs(w[q, k]))
-            w[q, k] = 0.0
-            couplers.append(Coupler(p + 1, q + 1, ang, ARITY_FULL))
+        for q in range(n - 1, k, -1):
+            p = q - 1 if adjacent else k
+            x, y = w[p, k], w[q, k]
+            # The rotated column is exact: the pair norm above a zero.
+            w[p, k], w[q, k] = _rotate(w[p, k + 1 :], w[q, k + 1 :], x, y), 0.0
+            couplers.append(Coupler(p + 1, q + 1, _elimination_angles(x, y), ARITY_FULL))
     return MeshPlan(n, phi, tuple(couplers))
 
 
 def _require_chain_order(plan: MeshPlan, op: str) -> None:
-    expected = _triangle_pairs(plan.n)
-    actual = [(c.i, c.j) for c in plan.couplers]
-    if actual != expected:
+    if [(c.i, c.j) for c in plan.couplers] != _triangle_pairs(plan.n):
         raise ValidationError(f"{op} requires a plan in canonical chain order")
 
 
@@ -240,22 +248,19 @@ def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
     left: list[Coupler] = []
     right: list[Coupler] = []
     for i in range(1, n):
-        if i % 2 == 1:
-            for j in range(i):
+        for j in range(i):
+            if i % 2:
+                # W <- W K^H on columns (c, c+1) is the step on (c+1, c).
                 r, c = n - 1 - j, i - 1 - j
-                ang = _elimination_angles(np.conj(w[r, c + 1]), w[r, c])
-                cols = [c, c + 1]
-                w[:, cols] = w[:, cols] @ su2_from_euler(ang).conj().T
-                w[r, c] = 0.0
-                right.append(Coupler(c + 1, c + 2, ang, ARITY_FULL))
-        else:
-            for j in range(1, i + 1):
-                r, c = n + j - i - 1, j - 1
-                ang = _elimination_angles(w[r - 1, c], w[r, c])
-                rows = [r - 1, r]
-                w[rows, :] = su2_from_euler(ang).conj().T @ w[rows, :]
-                w[r, c] = 0.0
-                left.append(Coupler(r, r + 1, ang, ARITY_FULL))
+                u, v, x, y = w[:, c + 1], w[:, c], w[r, c + 1], w[r, c]
+                ang, factors, lo = _elimination_angles(np.conj(x), y), right, c
+            else:
+                r, c = n - i + j, j
+                u, v, x, y = w[r - 1], w[r], w[r - 1, c], w[r, c]
+                ang, factors, lo = _elimination_angles(x, y), left, r - 1
+            _rotate(u, v, x, y)
+            w[r, c] = 0.0
+            factors.append(Coupler(lo + 1, lo + 2, ang, ARITY_FULL))
 
     theta = [math.atan2(w[k, k].imag, w[k, k].real) for k in range(n)]
     phase = 0.0
@@ -275,7 +280,7 @@ def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
     # at each pair the outgoing phase split that pins the running prefix sum
     # to its uniform target.  Once every adjacent pair has been crossed the
     # diagonal is the constant mean and becomes part of the global phase.
-    mean = sum(theta) / n if n else 0.0
+    mean = sum(theta) / n
     for idx, c in enumerate(couplers):
         p, q = c.i - 1, c.j - 1
         psi_p = (c.i * mean) - (sum(theta[: c.i]) - theta[p])
@@ -285,8 +290,7 @@ def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
         couplers[idx] = replace(c, angles=ang)
         phase += mu_in + mu_out
         theta[p], theta[q] = psi_p, psi_q
-    if n:
-        phase += sum(theta) / n
+    phase += sum(theta) / n
 
     plan = MeshPlan(n, phase, tuple(couplers))
     # An n=2 rectangle has a single physical column; pad with an identity
@@ -304,9 +308,7 @@ def reck_decompose(m, tol: float = 1e-10) -> MeshPlan:
     nearest neighbours.  Useful only as a comparison point; the mesh
     operations that assume adjacency reject its output.
     """
-    return _eliminate(
-        m, tol, "reck_decompose", lambda n, k: [(k, r) for r in range(n - 1, k, -1)]
-    )
+    return _eliminate(m, tol, "reck_decompose", adjacent=False)
 
 
 def generator_ledger(scheme: str, n: int) -> dict:
@@ -336,7 +338,8 @@ def loss_analysis(plan: MeshPlan, per_coupler_loss_db: float) -> list[dict]:
     order; every coupler whose pair it sits on must be crossed and may
     route it to either port.  For each input mode the minimum and maximum
     number of couplers over all routes is reported together with the
-    corresponding attenuation at the given per-coupler insertion loss.
+    attenuation at the given loss per coupler; a negative loss or a
+    non-finite total raises :class:`ValidationError`.
     """
     loss = float(per_coupler_loss_db)
     if loss < 0:
@@ -347,18 +350,14 @@ def loss_analysis(plan: MeshPlan, per_coupler_loss_db: float) -> list[dict]:
     for mode in range(1, n + 1):
         best = [math.inf] * n
         worst = [-math.inf] * n
-        best[mode - 1] = 0
-        worst[mode - 1] = 0
+        best[mode - 1] = worst[mode - 1] = 0
         for c in order:
             p, q = c.i - 1, c.j - 1
-            b = min(best[p], best[q])
-            if b < math.inf:
-                best[p] = best[q] = b + 1
-            w = max(worst[p], worst[q])
-            if w > -math.inf:
-                worst[p] = worst[q] = w + 1
-        b = min(best)
-        w = max(worst)
+            best[p] = best[q] = min(best[p], best[q]) + 1
+            worst[p] = worst[q] = max(worst[p], worst[q]) + 1
+        b, w = min(best), max(worst)
+        if not math.isfinite(w * loss):
+            raise ValidationError(f"per-coupler loss {loss} over {w} couplers is not finite")
         report.append(
             {
                 "mode": mode,

@@ -15,6 +15,14 @@ from __future__ import annotations
 import math
 from numbers import Real
 
+__all__ = [
+    "FormatError",
+    "ValidationError",
+    "DegenerateInputError",
+    "ToleranceError",
+    "ResourceError",
+]
+
 
 class FormatError(ValueError):
     """Input could not be parsed or its structure is wrong."""

@@ -238,6 +238,24 @@ def test_validate_haar_qr_source_rejects_beta_mode(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["compare", "--n", "-1"],
+        ["compare", "--n", "0"],
+        ["compare", "--n", "3", "--loss-db", "nan"],
+        ["compare", "--n", "3", "--loss-db", "inf"],
+        ["compare", "--n", "3", "--loss-db", "1e308"],
+    ],
+)
+def test_compare_rejects_bad_sizes_and_losses_with_one_line(argv, capsys):
+    # non-finite losses would print NaN or Infinity, which are not JSON
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["decompose", "m.json", "--bogus"],
         ["lift", "--n", "abc"],
         ["lift", "--n", "3", "--p", "2", "--threads", "2"],

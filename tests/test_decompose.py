@@ -284,6 +284,32 @@ def test_reck_identity_gives_identity_couplers():
         assert c.angles == EulerAngles(0.0, 0.0, 0.0)
 
 
+DEGENERATE_INPUTS = {
+    "identity": lambda n: np.eye(n, dtype=complex),
+    "reversal": lambda n: np.eye(n, dtype=complex)[::-1],
+    "cyclic_shift": lambda n: np.roll(np.eye(n, dtype=complex), 1, axis=0),
+    "phases": lambda n: np.diag(np.exp(1j * np.arange(n))),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_INPUTS)
+@pytest.mark.parametrize(
+    "decompose", [triangle_decompose, reck_decompose, clements_decompose]
+)
+def test_degenerate_inputs_keep_the_mesh_shape(decompose, name):
+    # these inputs make some elimination pairs exactly (0, 0), so the
+    # identity branch of the rotation step runs in every scheme
+    for n in range(2, 9):
+        m = DEGENERATE_INPUTS[name](n)
+        plan = decompose(m)
+        generic = decompose(random_unitary_qr(n, seed=700 + n))
+        assert [(c.i, c.j) for c in plan.couplers] == [(c.i, c.j) for c in generic.couplers]
+        assert depth(plan) == depth(generic)
+        assert residual(plan, m) < 1e-12
+        if name == "identity":
+            assert all(c.angles == EulerAngles(0.0, 0.0, 0.0) for c in plan.couplers)
+
+
 def test_generator_ledger_values():
     assert generator_ledger("triangle", 9) == {
         "offdiag_pairs": 8,
@@ -337,6 +363,14 @@ def test_loss_analysis_rejects_negative_loss():
     plan = triangle_decompose(random_unitary_qr(2, seed=0))
     with pytest.raises(ValidationError):
         loss_analysis(plan, -0.1)
+
+
+@pytest.mark.parametrize("loss", [float("nan"), float("inf"), 1e308])
+def test_loss_analysis_rejects_non_finite_losses(loss):
+    # 1e308 is finite, but three couplers on one path overflow the total
+    plan = triangle_decompose(random_unitary_qr(3, seed=0))
+    with pytest.raises(ValidationError):
+        loss_analysis(plan, loss)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
