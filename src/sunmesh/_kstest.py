@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 MIN_SAMPLES = 141
+_CHUNK = 4096  # points per evaluation step, so work arrays do not grow with N
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # ln 2 split so that e * _LN2_HI is exact for |e| < 2**21
@@ -197,10 +198,13 @@ def ks_one_sample(sample, cdf) -> tuple[float, float]:
     x = np.sort(np.asarray(sample, dtype=float))
     n = x.size
     _check_size(n)
-    c = cdf(x)
-    d_plus = np.max(np.arange(1.0, n + 1.0) / n - c)
-    d_minus = np.max(c - np.arange(0.0, n) / n)
-    d = float(d_plus if d_plus > d_minus else d_minus)
+    d_plus = d_minus = -math.inf
+    for start in range(0, n, _CHUNK):
+        c = cdf(x[start : start + _CHUNK])
+        rank = np.arange(start, start + c.size, dtype=float)
+        d_plus = max(d_plus, float(np.max((rank + 1.0) / n - c)))
+        d_minus = max(d_minus, float(np.max(c - rank / n)))
+    d = d_plus if d_plus > d_minus else d_minus
     return d, kstwo_sf(d, n)
 
 
@@ -226,10 +230,13 @@ def ks_two_sample(first, second) -> tuple[float, float]:
     if y.size != n:
         raise ValueError(f"the two samples must have equal sizes, got {n} and {y.size}")
     _check_size(n)
-    both = np.concatenate([x, y])
-    diff = np.searchsorted(x, both, side="right") / n - np.searchsorted(y, both, side="right") / n
-    d_max = float(np.max(diff))
-    d_min = _clip(-float(np.min(diff)))
+    d_max, low = -math.inf, math.inf
+    for points in (x, y):  # the empirical CDFs differ most at a sample point
+        for start in range(0, n, _CHUNK):
+            at = points[start : start + _CHUNK]
+            diff = np.searchsorted(x, at, "right") / n - np.searchsorted(y, at, "right") / n
+            d_max, low = max(d_max, float(np.max(diff))), min(low, float(np.min(diff)))
+    d_min = _clip(-low)
     d = d_min if d_min > d_max else d_max
     if n > 10_000:
         return d, kstwo_sf(d, round(n / 2))

@@ -176,8 +176,7 @@ def _csv_cell(value) -> str:
 def cmd_sample_haar(args) -> int:
     if args.n is None:
         raise ValidationError("sample-haar needs --n")
-    mode = "coset" if args.coset else "group"
-    spec = HaarSpec(args.n, seed=args.seed, mode=mode)
+    spec = HaarSpec(args.n, seed=args.seed)
     plan = sample_coset(spec) if args.coset else sample_haar(spec)
     if args.emit == "matrix":
         doc = {"provenance": _provenance(args), **matrix_to_json(reconstruct(plan))}

@@ -21,7 +21,7 @@ recursive coset construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,8 +245,9 @@ def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
         raise ValidationError("clements_decompose requires a unitary matrix")
     n = a.shape[0]
     w = a.copy()
-    left: list[Coupler] = []
-    right: list[Coupler] = []
+    # [lower mode, angles] rows, 0-based; the couplers are built once at the end
+    left: list[list] = []
+    right: list[list] = []
     for i in range(1, n):
         for j in range(i):
             if i % 2:
@@ -260,39 +261,37 @@ def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
                 ang, factors, lo = _elimination_angles(x, y), left, r - 1
             _rotate(u, v, x, y)
             w[r, c] = 0.0
-            factors.append(Coupler(lo + 1, lo + 2, ang, ARITY_FULL))
+            factors.append([lo, ang])
 
     theta = [math.atan2(w[k, k].imag, w[k, k].real) for k in range(n)]
     phase = 0.0
 
     # Stage 1: commute the diagonal leftward through the left factors so the
     # full plan sits to its right.
-    for idx in range(len(left) - 1, -1, -1):
-        c = left[idx]
-        p, q = c.i - 1, c.j - 1
-        ang, mu = push_phase_through_coupler(theta[p], theta[q], c.angles, side="right")
-        left[idx] = replace(c, angles=ang)
-        theta[p] = theta[q] = mu
+    for row in reversed(left):
+        p = row[0]
+        row[1], mu = push_phase_through_coupler(theta[p], theta[p + 1], row[1], side="right")
+        theta[p] = theta[p + 1] = mu
 
-    couplers = left + right[::-1]
+    rows = left + right[::-1]
 
     # Stage 2: sweep the diagonal rightward through every coupler, choosing
     # at each pair the outgoing phase split that pins the running prefix sum
     # to its uniform target.  Once every adjacent pair has been crossed the
     # diagonal is the constant mean and becomes part of the global phase.
     mean = sum(theta) / n
-    for idx, c in enumerate(couplers):
-        p, q = c.i - 1, c.j - 1
-        psi_p = (c.i * mean) - (sum(theta[: c.i]) - theta[p])
+    for row in rows:
+        p, q = row[0], row[0] + 1
+        psi_p = (q * mean) - (sum(theta[:q]) - theta[p])
         psi_q = (theta[p] - psi_p) + theta[q]
-        ang, mu_in = push_phase_through_coupler(theta[p], theta[q], c.angles, side="left")
-        ang, mu_out = push_phase_through_coupler(-psi_p, -psi_q, ang, side="right")
-        couplers[idx] = replace(c, angles=ang)
+        ang, mu_in = push_phase_through_coupler(theta[p], theta[q], row[1], side="left")
+        row[1], mu_out = push_phase_through_coupler(-psi_p, -psi_q, ang, side="right")
         phase += mu_in + mu_out
         theta[p], theta[q] = psi_p, psi_q
     phase += sum(theta) / n
 
-    plan = MeshPlan(n, phase, tuple(couplers))
+    couplers = tuple(Coupler(p + 1, p + 2, ang, ARITY_FULL) for p, ang in rows)
+    plan = MeshPlan(n, phase, couplers)
     # An n=2 rectangle has a single physical column; pad with an identity
     # coupler so the layer count matches the scheme's nominal depth.
     while n >= 2 and depth(plan) < n:

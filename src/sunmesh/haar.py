@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kstest import ks_one_sample, ks_two_sample
-from .errors import FormatError, ValidationError, check_int, finite_float
+from .errors import ValidationError, check_int
 from .linalg import _ginibre_qr, random_unitary_qr
 from .mesh import ARITY_CONSTRAINED, ARITY_FULL, Coupler, MeshPlan, _product, _triangle_pairs
 from .su2 import EulerAngles
@@ -46,26 +46,20 @@ __all__ = [
     "validate_haar",
 ]
 
-MODE_GROUP = "group"
-MODE_COSET = "coset"
-
 _CHUNK = 1024
 _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class HaarSpec:
-    """What to sample: dimension, stream seed, and group vs coset mode."""
+    """What to sample: dimension and stream seed."""
 
     n: int
     seed: int = 0
-    mode: str = MODE_GROUP
 
     def __post_init__(self):
         check_int(self.n, "n", 2)
         check_int(self.seed, "seed", 0)
-        if self.mode not in (MODE_GROUP, MODE_COSET):
-            raise ValidationError(f"mode must be 'group' or 'coset', got {self.mode!r}")
 
 
 def beta_density(level: int, beta):
@@ -76,7 +70,7 @@ def beta_density(level: int, beta):
     """
     check_int(level, "level", 1)
     b = np.asarray(beta, dtype=float)
-    if np.any(b < 0.0) or np.any(b > math.pi):
+    if not np.all((b >= 0.0) & (b <= math.pi)):  # NaN fails both tests
         raise ValidationError("beta must lie in [0, pi]")
     out = np.sin(b) * np.sin(0.5 * b) ** (2 * (level - 1))
     return float(out) if np.ndim(beta) == 0 else out
@@ -91,7 +85,7 @@ def sample_beta(level: int, u):
     """
     check_int(level, "level", 1)
     x = np.asarray(u, dtype=float)
-    if np.any(x < 0.0) or np.any(x >= 1.0):
+    if not np.all((x >= 0.0) & (x < 1.0)):
         raise ValidationError("u must lie in [0, 1)")
     out = _beta_from_uniform(level, x)
     return float(out) if np.ndim(u) == 0 else out
@@ -147,8 +141,6 @@ def sample_haar(spec: HaarSpec) -> MeshPlan:
     heads, two otherwise) in plan order, so a given (n, seed) always yields
     the same plan.
     """
-    if spec.mode != MODE_GROUP:
-        raise ValidationError("sample_haar requires mode='group'")
     return _draw_plan(spec.n, spec.seed, coset_only=False)
 
 
@@ -160,8 +152,6 @@ def sample_coset(spec: HaarSpec) -> MeshPlan:
     factor.  For n=2 the coset and group cases coincide.  The plan's first
     column is uniform on the complex unit sphere.
     """
-    if spec.mode != MODE_COSET:
-        raise ValidationError("sample_coset requires mode='coset'")
     return _draw_plan(spec.n, spec.seed, coset_only=True)
 
 
@@ -176,41 +166,29 @@ def _chunk_unitaries(n: int, seed: int, chunk: int, size: int, beta_mode: str) -
     return np.moveaxis(_product(n, pairs, angles), -1, 0)
 
 
-def _check_beta_mode(beta_mode: str) -> None:
-    if beta_mode not in (BETA_MODE_RECURSIVE, BETA_MODE_UNIFORM):
-        raise ValidationError(f"unknown beta_mode {beta_mode!r}")
-
-
 def _slabs(count: int):
     """Yield ``(chunk, start, stop)`` for each fixed slab of ``count`` draws."""
     for chunk, start in enumerate(range(0, count, _CHUNK)):
         yield chunk, start, min(start + _CHUNK, count)
 
 
-def sample_unitaries(
-    n: int,
-    count: int,
-    seed: int = 0,
-    beta_mode: str = BETA_MODE_RECURSIVE,
-) -> np.ndarray:
+def sample_unitaries(n: int, count: int, seed: int = 0) -> np.ndarray:
     """Vectorized batch of group samples, shape (count, n, n).
 
-    ``beta_mode="uniform"`` replaces the correct middle-angle law with a
-    flat one and exists purely as a negative control for the statistical
-    validation.  Results depend only on (n, count, seed, beta_mode).
+    Results depend only on (n, count, seed).
     """
     check_int(n, "n", 2)
     check_int(count, "count", 1)
     check_int(seed, "seed", 0)
-    _check_beta_mode(beta_mode)
     out = np.empty((count, n, n), dtype=np.complex128)
     for chunk, start, stop in _slabs(count):
-        out[start:stop] = _chunk_unitaries(n, seed, chunk, stop - start, beta_mode)
+        out[start:stop] = _chunk_unitaries(n, seed, chunk, stop - start, BETA_MODE_RECURSIVE)
     return out
 
 
 SOURCE_MESH = "mesh"
 SOURCE_QR = "qr"
+_SIGNIFICANCE = 0.01
 
 
 def validate_haar(
@@ -219,7 +197,6 @@ def validate_haar(
     seed: int = 0,
     source: str = SOURCE_MESH,
     beta_mode: str = BETA_MODE_RECURSIVE,
-    significance: float = 0.01,
 ) -> dict:
     """Statistical report comparing a sampler against exact Haar laws.
 
@@ -227,10 +204,11 @@ def validate_haar(
     E|U_ij|^2 = 1/n within three standard errors; a KS test of |U_11|^2
     against the law P(|U_11|^2 > s) = (1-s)^(n-1); and left invariance,
     comparing |(V U)_11|^2 against |U_11|^2 for a fixed random V.  The
-    ``source`` selects the mesh sampler or the independent QR oracle; the
-    oracle has no middle-angle law, so it takes only the default
-    ``beta_mode``.  A check passes when its p-value exceeds
-    ``significance``, which must lie in (0, 1).
+    ``source`` selects the mesh sampler or the independent QR oracle.
+    ``beta_mode="uniform"`` replaces the mesh sampler's middle-angle law
+    with a flat one, as a negative control; the oracle has no middle-angle
+    law, so it takes only the default ``beta_mode``.  A check passes when
+    its p-value exceeds 0.01.
 
     The draws are made and reduced one 1024-sample slab at a time, keeping
     only per-entry sums and sums of squares and the two vectors of
@@ -243,15 +221,10 @@ def validate_haar(
     check_int(n, "n", 2)
     check_int(samples, "samples", 1000)
     check_int(seed, "seed", 0)
-    try:
-        significance = finite_float(significance, "significance")
-    except FormatError as exc:
-        raise ValidationError(str(exc)) from None
-    if not 0.0 < significance < 1.0:
-        raise ValidationError(f"significance must lie in (0, 1), got {significance}")
     if source not in (SOURCE_MESH, SOURCE_QR):
         raise ValidationError(f"unknown source {source!r}")
-    _check_beta_mode(beta_mode)
+    if beta_mode not in (BETA_MODE_RECURSIVE, BETA_MODE_UNIFORM):
+        raise ValidationError(f"unknown beta_mode {beta_mode!r}")
     if source == SOURCE_QR and beta_mode != BETA_MODE_RECURSIVE:
         raise ValidationError(f"source 'qr' has no beta_mode {beta_mode!r}; only 'recursive'")
 
@@ -280,10 +253,10 @@ def validate_haar(
     }
 
     stat, pvalue = ks_one_sample(s11, lambda s: 1.0 - (1.0 - s) ** (n - 1))
-    ks = {"stat": stat, "pvalue": pvalue, "passed": bool(pvalue > significance)}
+    ks = {"stat": stat, "pvalue": pvalue, "passed": bool(pvalue > _SIGNIFICANCE)}
 
     stat, pvalue = ks_two_sample(w11, s11)
-    invariance = {"stat": stat, "pvalue": pvalue, "passed": bool(pvalue > significance)}
+    invariance = {"stat": stat, "pvalue": pvalue, "passed": bool(pvalue > _SIGNIFICANCE)}
 
     return {
         "n": n,
@@ -291,7 +264,7 @@ def validate_haar(
         "seed": seed,
         "source": source,
         "beta_mode": beta_mode,
-        "significance": significance,
+        "significance": _SIGNIFICANCE,
         "moments": moments,
         "ks": ks,
         "invariance": invariance,

@@ -306,7 +306,7 @@ def _descend(acc: np.ndarray, edges: list, p: int, j: int, low: int) -> tuple[np
     return acc, j
 
 
-def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
+def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
     """Lift a whole adjacent-coupler plan: ordered product of coupler lifts.
 
     A coupler on (i, i+1) acts on each group of s+1 states that share
@@ -326,8 +326,7 @@ def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
     dense dim x dim product is built only when a coupler touches mode 1
     or the plan ends.  A coupler at level j costs O(D_j * W_j * (p+1)) and
     a dense one O(dim^2 * (p+1)).  The global phase enters once per
-    photon.  With ``return_info=True`` also returns
-    ``{"offdiag_types", "pairs"}`` describing the generator economy.
+    photon.
     """
     if basis.n != plan.n:
         raise ValidationError(f"basis is on {basis.n} modes but plan is on {plan.n}")
@@ -363,27 +362,7 @@ def lift_plan(basis: FockBasis, plan: MeshPlan, return_info: bool = False):
                 acc[idx] = (stacks[s][k - start] @ rows).reshape(idx.shape + (acc.shape[1],))
     acc = _descend(acc, edges, p, j, 1)[0]
     acc *= np.exp(1j * p * plan.global_phase)
-    if return_info:
-        pairs = sorted({c.i for c in couplers})
-        return acc, {"offdiag_types": len(pairs), "pairs": [(i, i + 1) for i in pairs]}
     return acc
-
-
-@functools.lru_cache(maxsize=None)
-def _glynn_table(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign vectors of Glynn's sum over k columns, d_1 = +1, built once per k.
-
-    Returns read-only ``(signs, weights)``: column n of the (k, 2^(k-1))
-    complex ``signs`` gives column j > 1 the sign -1 when bit j-2 of n is
-    set, and ``weights[n]`` is prod_j d_j.  A (p, k) block times ``signs``
-    is the table of its signed row sums; only the additions round.
-    """
-    n = np.arange(2 ** (k - 1))
-    signs = np.ones((k, n.size), dtype=np.complex128)
-    signs[1:] = 1.0 - 2.0 * ((n >> np.arange(k - 1)[:, None]) & 1)
-    weights = signs.real.prod(axis=0)
-    signs.flags.writeable = weights.flags.writeable = False
-    return signs, weights
 
 
 def permanent_ryser(a) -> complex:
@@ -393,11 +372,11 @@ def permanent_ryser(a) -> complex:
     prod_i sum_j d_j a_ij over sign vectors d with d_1 = +1.  It costs the
     same O(2^p * p) as Ryser's sum over column subsets, but its signed row
     sums cancel far less: per(ones(20)) comes out within 2e-13 of 20!,
-    where Ryser's sum misses by 2e-7.  The sign vectors of the first
-    _BLOCK columns and their products are built once per size and cached
-    (:func:`_glynn_table`), so a call takes the (p, 2^(k-1)) row sums of
-    its first k = min(p, _BLOCK) columns in one matmul, a product over rows
-    and one weighted dot; each sign pattern of the remaining columns shifts
+    where Ryser's sum misses by 2e-7.  Column n of the (k, 2^(k-1)) sign
+    table of the first k = min(p, _BLOCK) columns gives column j > 1 the
+    sign -1 when bit j-2 of n is set, so a call takes their row sums in one
+    matmul (only the additions round), a product over rows and one dot with
+    the sign products; each sign pattern of the remaining columns shifts
     those sums once.
     Sizes above 20 are refused.
     """
@@ -406,7 +385,10 @@ def permanent_ryser(a) -> complex:
     if p > _PERMANENT_SIZE_CAP:
         raise ResourceError(f"permanent size {p} exceeds cap {_PERMANENT_SIZE_CAP}")
     low = min(p, _BLOCK)
-    signs, weights = _glynn_table(low)
+    pattern = np.arange(2 ** (low - 1))
+    signs = np.ones((low, pattern.size), dtype=np.complex128)
+    signs[1:] = 1.0 - 2.0 * ((pattern >> np.arange(low - 1)[:, None]) & 1)
+    weights = signs.real.prod(axis=0)
     sums = m[:, :low] @ signs
     if p == low:
         return complex(weights @ np.multiply.reduce(sums)) / 2 ** (p - 1)

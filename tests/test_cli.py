@@ -194,6 +194,49 @@ def test_lift_is_byte_deterministic(tmp_path, capsys):
             assert digest == LIFT_SHA256[kind, int(p)], (kind, p)
 
 
+# SHA-256 of the stdout of the sampling, validation and Clements commands at
+# fixed seeds (NumPy 2.4.6 with scipy-openblas 0.3.31 on x86-64; another
+# BLAS may move the last bits)
+STDOUT_SHA256 = {
+    (
+        "sample-haar",
+        "--n", "5", "--seed", "3",
+    ): "9d8e473ca8d188257ddfacd40cd79a54bb0d7ce2db29b661c11467cb0ed2d2ab",
+    (
+        "sample-haar",
+        "--n", "5", "--seed", "3", "--coset",
+    ): "a84d5b769089a443233f8aaf7120c6b24759227d9e0e276c7780c3ff02a0d411",
+    (
+        "sample-haar",
+        "--n", "5", "--seed", "3", "--emit", "matrix",
+    ): "2394bb178b6ee98d833754ad2a065a30c9e6563c4ca3c1dbaf3e5faaa814bf85",
+    (
+        "validate-haar",
+        "--n", "3", "--seed", "4",
+    ): "89491349d01a72c4baf3716da22e77f955bab9252ef27b94b77c4c1e6f851887",
+    (
+        "validate-haar",
+        "--n", "3", "--seed", "4", "--beta-mode", "uniform",
+    ): "df29be8a591b10ce7775d671d90a4c00f2ab5aae4c6e816314a627b6e3bd6c08",
+    (
+        "validate-haar",
+        "--n", "3", "--seed", "4", "--source", "qr", "--samples", "6000",
+    ): "fc9b5b77cd1a36ee9e1fa25755aa8e96f3316c3660cc182b491d4349aef9625a",
+    (
+        "decompose", "m.json", "--scheme", "clements",
+    ): "e1d7d761c114d05ea45a9de11a4d47fd36e77d9d44855d528b2ae205601bc4dd",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_command_stdout_is_pinned(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path, random_unitary_qr(8, seed=8))
+    code, out, _ = run_cli(list(argv), capsys)
+    assert code == (3 if "uniform" in argv else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
 def test_sample_haar_coset_chain(capsys):
     code, out, _ = run_cli(["sample-haar", "--n", "4", "--coset"], capsys)
     assert code == 0
