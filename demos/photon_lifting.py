@@ -35,7 +35,7 @@ def main():
     print()
     basis = FockBasis(3, 2)
     print("two-photon basis on three modes, lexicographically descending:")
-    print("  " + "  ".join(str(s) for s in basis.states))
+    print("  " + "  ".join(str(tuple(s)) for s in basis.occupations.tolist()))
 
     print()
     big = FockBasis(9, 5)

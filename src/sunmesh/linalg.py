@@ -111,9 +111,7 @@ def _ginibre_qr(rng, n: int, shape=()) -> np.ndarray:
 def matrix_to_json(m) -> dict:
     """Serialize a square complex matrix to the interchange dict."""
     a = as_complex_matrix(m)
-    n = a.shape[0]
-    entries = [[[float(a[r, c].real), float(a[r, c].imag)] for c in range(n)] for r in range(n)]
-    return {"n": n, "entries": entries}
+    return {"n": a.shape[0], "entries": np.stack((a.real, a.imag), axis=-1).tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:

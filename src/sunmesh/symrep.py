@@ -49,7 +49,6 @@ _BLOCK = 12  # permanent columns summed in one vectorized table
 _INT64_MAX = 2**63 - 1
 _PAIR_TABLE_CACHE = 128  # (n, p) pair state tables kept across lifts
 _PHOTON_TABLE_CACHE = 16  # (n, p) rank maps kept across permanent-route lifts
-_BASIS_CACHE = 32  # (n, p) state enumerations kept for bases and tables
 _SPIN_CACHE = 32  # Wigner eigensystems kept for s <= 32, about 0.4 MB in all
 
 
@@ -90,7 +89,6 @@ def _capped_dimension(n: int, p: int) -> int:
     return dim
 
 
-@functools.lru_cache(maxsize=_BASIS_CACHE)
 def _occupations(n: int, p: int) -> np.ndarray:
     """Read-only (dim, n) occupations of the p-photon states on n modes.
 
@@ -138,10 +136,9 @@ class FockBasis:
 
     The read-only (dim, n) ``occupations`` array lists the states with sum
     p in lexicographically descending order, so a state's row is its
-    :func:`_rank`.  ``states`` (tuples) and ``index`` (state tuple to row)
-    are built on first read; no lift reads them.  A dimension above
-    :func:`dimension_cap` raises :class:`ResourceError` before any state is
-    enumerated.
+    :func:`_rank`.  It is enumerated on first read and kept with the
+    basis; no lift reads it.  A dimension above :func:`dimension_cap`
+    raises :class:`ResourceError` before any state is enumerated.
     """
 
     def __init__(self, n: int, p: int):
@@ -149,17 +146,9 @@ class FockBasis:
         self.p = check_int(p, "p", 0)
         self.dim = _capped_dimension(n, p)
 
-    @property
+    @functools.cached_property
     def occupations(self) -> np.ndarray:
         return _occupations(self.n, self.p)
-
-    @functools.cached_property
-    def states(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.occupations.tolist()))
-
-    @functools.cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {s: r for r, s in enumerate(self.states)}
 
     def __len__(self) -> int:
         return self.dim

@@ -20,9 +20,15 @@ def reduce_radical(k):
 
 
 def exact_generator(basis, a, b):
-    """Mode-pair generator with 0-based mode labels a, b."""
+    """Mode-pair generator with 0-based mode labels a, b.
+
+    Rows are found through a dict built from the basis's own enumeration,
+    so the check does not rest on the library's rank.
+    """
+    states = list(map(tuple, basis.occupations.tolist()))
+    row = {s: r for r, s in enumerate(states)}
     out = {}
-    for col, s in enumerate(basis.states):
+    for col, s in enumerate(states):
         if a == b:
             if s[a]:
                 out[(col, col)] = {1: s[a]}
@@ -31,7 +37,7 @@ def exact_generator(basis, a, b):
             t[a] += 1
             t[b] -= 1
             f, m = reduce_radical((s[a] + 1) * s[b])
-            out[(basis.index[tuple(t)], col)] = {m: f}
+            out[(row[tuple(t)], col)] = {m: f}
     return out
 
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -514,8 +515,21 @@ def test_lift_dimension_overflow_exits_4_at_once(n, p):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        ["sunmesh", "lift", "--n", "9", "--p", "5"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "1287"
+    # the target pyproject.toml declares, run as an installed script would
+    # run it; an installed `sunmesh` executable, if any, is run as well
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    target = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["sunmesh"]
+    assert target == "sunmesh.cli:main"
+    module, _, name = target.partition(":")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = f"import sys\nfrom {module} import {name}\nsys.exit({name}())\n"
+    argv = ["lift", "--n", "9", "--p", "5"]
+    commands = [[sys.executable, "-c", code, *argv]]
+    if shutil.which("sunmesh"):
+        commands.append(["sunmesh", *argv])
+    for command in commands:
+        proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1287"

@@ -117,6 +117,30 @@ def test_matrix_json_roundtrip_is_exact_through_text():
     assert np.array_equal(matrix_from_json(json.loads(text)), u)
 
 
+@pytest.mark.parametrize("n", [1, 2, 21])
+def test_matrix_to_json_matches_per_entry_form(n):
+    import json
+
+    # the oracle: each entry converted on its own
+    def per_entry(a):
+        rows = range(a.shape[0])
+        return [[[float(a[r, c].real), float(a[r, c].imag)] for c in rows] for r in rows]
+
+    # signed zeros, subnormal, tiny, huge and non-finite parts, set part by
+    # part (1j * inf would be nan + inf j), plus one row of ordinary values
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e308, 1.5, math.nan, math.inf, -math.inf]
+    rng = np.random.default_rng(113 + n)
+    a = np.empty((n, n), dtype=np.complex128)
+    a.real, a.imag = rng.choice(edges, size=(2, n, n))
+    a.real[0, 0], a.imag[0, 0] = -0.0, -math.inf
+    if n > 1:
+        a[-1] = random_unitary_qr(n, seed=n)[-1]
+    doc = matrix_to_json(a)
+    want = json.dumps({"n": n, "entries": per_entry(a)}, indent=2)
+    assert json.dumps(doc, indent=2) == want
+    assert all(type(x) is float for row in doc["entries"] for pair in row for x in pair)
+
+
 def test_matrix_from_json_ignores_extra_keys():
     doc = matrix_to_json(np.eye(2))
     doc["provenance"] = {"command": "test"}

@@ -89,31 +89,33 @@ def test_basis_dimension_validation():
 
 
 def test_fock_basis_is_lexicographically_descending():
+    from sunmesh import symrep
+
     basis = FockBasis(2, 2)
-    assert basis.states == ((2, 0), (1, 1), (0, 2))
+    assert basis.occupations.tolist() == [[2, 0], [1, 1], [0, 2]]
     basis = FockBasis(3, 2)
-    assert basis.states == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-    assert len(basis) == 6
-    assert basis.index[(1, 0, 1)] == 2
-    assert all(sum(s) == 2 for s in basis.states)
+    want = [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]]
+    assert basis.occupations.tolist() == want
+    assert len(basis) == 6 and repr(basis) == "FockBasis(n=3, p=2, dim=6)"
+    assert symrep._rank(np.array([1, 0, 1])) == 2
+    assert (basis.occupations.sum(axis=1) == 2).all()
+    assert {a for a in dir(basis) if not a.startswith("_")} == {"n", "p", "dim", "occupations"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_occupations_are_cached_read_only_and_ordered(n):
-    from sunmesh import symrep
-
     for p in range(6):
-        occ = symrep._occupations(n, p)
-        assert symrep._occupations(n, p) is occ
+        basis = FockBasis(n, p)
+        occ = basis.occupations
+        assert basis.occupations is occ and occ.dtype == np.int64
         with pytest.raises(ValueError):
             occ[0, 0] = 0
         states = itertools.product(range(p + 1), repeat=n)
         want = sorted((s for s in states if sum(s) == p), reverse=True)
         assert occ.tolist() == [list(s) for s in want]
-        first, second = FockBasis(n, p), FockBasis(n, p)
-        assert first.states == tuple(want) and type(first.states[0]) is tuple
-        assert type(first.states[0][0]) is int
-        assert first.index == second.index and first.index is not second.index
+        # kept with its basis, not in a module-wide cache
+        other = FockBasis(n, p).occupations
+        assert other is not occ and np.array_equal(other, occ)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -129,29 +131,38 @@ def test_rank_numbers_every_basis_in_order(n):
         assert rank.dtype == np.int64 and np.array_equal(rank, np.arange(dim)), (n, p)
 
 
-def test_lifts_read_no_state_tuples(monkeypatch, tmp_path, capsys):
-    from sunmesh import cli, matrix_to_json, plan_to_json
+def test_warm_lifts_enumerate_no_states(monkeypatch, tmp_path, capsys):
+    from sunmesh import cli, matrix_to_json, plan_to_json, symrep
 
-    def forbidden(self):
-        raise AssertionError("a lift read the tuple views of FockBasis")
-
-    monkeypatch.setattr(FockBasis, "states", property(forbidden))
-    monkeypatch.setattr(FockBasis, "index", property(forbidden))
     m, plan = canonical_plan(4, seed=47)
-    basis = FockBasis(4, 3)
-    lifted = lift_plan(basis, plan)
-    assert np.abs(lifted - lift_via_permanents(m, 3)).max() < 1e-12
-    one = lift_coupler(basis, plan.couplers[0])
-    assert np.abs(one @ one.conj().T - np.eye(20)).max() < 1e-13
-    assert lifted_generator(basis, 2, 3).shape == (20, 20)
     ppath, mpath = tmp_path / "plan.json", tmp_path / "matrix.json"
     ppath.write_text(json.dumps(plan_to_json(plan)))
     mpath.write_text(json.dumps(matrix_to_json(m)))
     out = str(tmp_path / "out.json")
-    for path in (ppath, mpath):
-        assert cli.main(["lift", str(path), "--p", "3", "--output", out]) == 0
-    assert cli.main(["lift", "--n", "4", "--p", "3"]) == 0
-    assert capsys.readouterr().out == "20\n"
+    enumerate_states, calls = symrep._occupations, []
+
+    def counting(n, p):
+        calls.append((n, p))
+        return enumerate_states(n, p)
+
+    monkeypatch.setattr(symrep, "_occupations", counting)
+    for _ in range(2):
+        calls.clear()
+        basis = FockBasis(4, 3)
+        lifted = lift_plan(basis, plan)
+        assert np.abs(lifted - lift_via_permanents(m, 3)).max() < 1e-12
+        one = lift_coupler(basis, plan.couplers[0])
+        assert np.abs(one @ one.conj().T - np.eye(20)).max() < 1e-13
+        for path in (ppath, mpath):
+            assert cli.main(["lift", str(path), "--p", "3", "--output", out]) == 0
+        assert cli.main(["lift", "--n", "4", "--p", "3"]) == 0
+        assert capsys.readouterr().out == "20\n"
+    # the cold pass built each table once; the warm pass enumerated nothing
+    assert calls == []
+    assert lifted_generator(basis, 2, 3).shape == (20, 20)
+    assert calls == [(4, 3)]
+    assert lifted_generator(basis, 3, 2).shape == (20, 20)
+    assert calls == [(4, 3)]
 
 
 def test_lifted_generator_offdiagonal_elements():
@@ -169,7 +180,7 @@ def test_lifted_generator_offdiagonal_elements():
 def test_lifted_generator_diagonal_counts_photons():
     basis = FockBasis(3, 2)
     c22 = lifted_generator(basis, 2, 2)
-    assert np.array_equal(np.diag(c22), [s[1] for s in basis.states])
+    assert np.array_equal(np.diag(c22), basis.occupations[:, 1])
 
 
 def test_lifted_generator_is_dense_and_validated():
@@ -214,13 +225,16 @@ def test_library_entries_match_exact_radicals_bitwise():
 
 
 def test_lift_coupler_mixing_element_value():
+    from sunmesh import symrep
+
     # the middle rotation maps |2,0> to cos^2|2,0> + sqrt2 cos sin|1,1> + ...
     basis = FockBasis(2, 2)
     beta = 0.7
     c = Coupler(1, 2, EulerAngles(0.0, beta, 0.0), ARITY_FULL)
     lifted = lift_coupler(basis, c)
     want = math.sqrt(2.0) * math.cos(beta / 2) * math.sin(beta / 2)
-    assert abs(lifted[basis.index[(1, 1)], basis.index[(2, 0)]] - want) < 1e-12
+    row, col = symrep._rank(np.array([[1, 1], [2, 0]]))
+    assert abs(lifted[row, col] - want) < 1e-12
 
 
 def test_lift_coupler_z_phases_are_occupation_weighted():
@@ -265,7 +279,7 @@ def test_lift_coupler_matches_dense_expm_reference(n, p):
     for i in range(1, n):
         alpha, beta, gamma = rng.uniform(-math.pi, math.pi, size=3)
         g = lifted_generator(basis, i, i + 1)
-        d = np.array([s[i - 1] - s[i] for s in basis.states], dtype=float)
+        d = (basis.occupations[:, i - 1] - basis.occupations[:, i]).astype(float)
         want = (
             np.exp(0.5j * alpha * d)[:, None]
             * expm(-0.5 * beta * (g - g.T))
@@ -429,7 +443,7 @@ def test_lift_via_permanents_entries_match_brute_force():
     lifted = lift_via_permanents(u, 4)
     rng = np.random.default_rng(93)
     for r, c in rng.integers(len(basis), size=(20, 2)):
-        out_state, in_state = basis.states[r], basis.states[c]
+        out_state, in_state = basis.occupations[r].tolist(), basis.occupations[c].tolist()
         rows = np.repeat(np.arange(3), out_state)
         cols = np.repeat(np.arange(3), in_state)
         norm = math.sqrt(math.prod(map(math.factorial, out_state + in_state)))
@@ -553,7 +567,7 @@ def test_sub_mesh_lift_is_exactly_block_diagonal():
     plan = random_couplers(6, [5, 4, 3, 5, 4, 5], seed=328)
     basis = FockBasis(6, 4)
     lifted = lift_plan(basis, plan)
-    heads = np.array([s[:2] for s in basis.states])
+    heads = basis.occupations[:, :2]
     other = (heads[:, None, :] != heads[None, :, :]).any(axis=2)
     assert other.any() and not lifted[other].any()
     assert np.abs(lifted @ lifted.conj().T - np.eye(len(basis))).max() < 1e-13
@@ -635,13 +649,14 @@ def test_lift_plan_chunks_match_one_chunk_route(monkeypatch):
 
     # level 2: rows are the states (m_1, m_2, m_3), columns the rank of
     # (m_2, m_3) among the 2-mode states of 2 - m_1 photons
-    local = [FockBasis(2, p - s[0]).index[s[1:]] for s in basis.states]
+    occ = basis.occupations
+    local = symrep._rank(occ[:, 1:])
     level = np.zeros((dim, 3), dtype=complex)
     level[np.arange(dim), local] = 1
     apply(level, 0, symrep._pair_tables(n, p)[1])
     want = np.zeros((dim, dim), dtype=complex)
     for r, c in itertools.product(range(dim), repeat=2):
-        if basis.states[r][0] == basis.states[c][0]:
+        if occ[r, 0] == occ[c, 0]:
             want[r, c] = level[r, local[c]]
     for k, c in enumerate(couplers[1:], start=1):
         apply(want, k, symrep._pair_tables(n, p)[c.i - 1])
@@ -674,12 +689,13 @@ def test_pair_tables_are_cached_shared_and_read_only():
                 with pytest.raises(ValueError):
                     idx[0, 0] = 0
                 for group in idx.T:
-                    states = [basis.states[r] for r in group]
+                    states = basis.occupations[group].tolist()
                     assert [st[i - 1] for st in states] == list(range(s, -1, -1))
                     assert all(st[i - 1] + st[i] == s for st in states)
-                    assert len({st[: i - 1] + st[i + 1 :] for st in states}) == 1
+                    assert len({tuple(st[: i - 1] + st[i + 1 :]) for st in states}) == 1
                 seen.extend(idx.ravel().tolist())
-            unpaired = [r for r, st in enumerate(basis.states) if st[i - 1] + st[i] == 0]
+            occ = basis.occupations
+            unpaired = np.flatnonzero(occ[:, i - 1] + occ[:, i] == 0).tolist()
             assert sorted(seen + unpaired) == list(range(len(basis)))
 
 
@@ -738,12 +754,13 @@ def test_lift_via_permanents_calls_no_permanent(monkeypatch, n, p):
     dim = len(basis)
     assert calls == []
     want = np.empty((dim, dim), dtype=complex)
-    for r, out_state in enumerate(basis.states):
-        for c, in_state in enumerate(basis.states):
+    states = basis.occupations.tolist()
+    for r, out_state in enumerate(states):
+        for c, in_state in enumerate(states):
             rows = np.repeat(np.arange(n), out_state)
             cols = np.repeat(np.arange(n), in_state)
             want[r, c] = ryser(u[np.ix_(rows, cols)])
-    inv = 1.0 / np.sqrt([math.prod(map(math.factorial, s)) for s in basis.states])
+    inv = 1.0 / np.sqrt([math.prod(map(math.factorial, s)) for s in states])
     want *= inv[:, None] * inv
     assert (np.abs(lifted - want) <= 1e-12 * np.abs(want)).all()
 
@@ -788,18 +805,22 @@ def test_photon_tables_match_fock_index(n):
         tables = symrep._photon_tables(n, p)
         assert len(tables) == p
         for q, (lower, root, upper, weight) in enumerate(tables, start=1):
-            here, below = FockBasis(n, q), FockBasis(n, q - 1)
+            # the oracle: each state's row read off the enumeration, not the rank
+            here = list(map(tuple, FockBasis(n, q).occupations.tolist()))
+            below = list(map(tuple, FockBasis(n, q - 1).occupations.tolist()))
+            here_row = {s: r for r, s in enumerate(here)}
+            below_row = {s: r for r, s in enumerate(below)}
             assert lower.shape == root.shape == (n, len(here))
             assert upper.shape == weight.shape == (n, len(below))
-            for r, state in enumerate(here.states):
+            for r, state in enumerate(here):
                 for j, k in enumerate(state):
                     less = state[:j] + (k - 1,) + state[j + 1 :]
-                    assert lower[j, r] == (below.index[less] if k else 0), (n, p, q, state, j)
+                    assert lower[j, r] == (below_row[less] if k else 0), (n, p, q, state, j)
                     assert root[j, r] == math.sqrt(k)
-            for r, state in enumerate(below.states):
+            for r, state in enumerate(below):
                 for i, k in enumerate(state):
                     more = state[:i] + (k + 1,) + state[i + 1 :]
-                    assert upper[i, r] == here.index[more], (n, p, q, state, i)
+                    assert upper[i, r] == here_row[more], (n, p, q, state, i)
                     assert weight[i, r] == math.sqrt(k + 1)
             for table in (lower, root, upper, weight):
                 assert not table.flags.writeable
