@@ -70,7 +70,11 @@ def _write_text(text: str, output: str | None) -> None:
 
 
 def _emit_json(doc: dict, output: str | None) -> None:
-    _write_text(json.dumps(doc, indent=2) + "\n", output)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValidationError("result is not finite, so it has no JSON form") from None
+    _write_text(text + "\n", output)
 
 
 def _provenance(args) -> dict:

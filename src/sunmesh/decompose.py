@@ -33,7 +33,6 @@ from .mesh import (
     Coupler,
     MeshPlan,
     _triangle_pairs,
-    depth,
     reconstruct,
 )
 from .su2 import EulerAngles, push_phase_through_coupler, zeroing_angles
@@ -217,16 +216,14 @@ def recursive_view(plan: MeshPlan) -> RecursiveView:
         raise ValidationError("recursive_view needs a plan with couplers")
     _require_chain_order(plan, "recursive_view")
 
-    def build(couplers: tuple[Coupler, ...]) -> RecursiveView:
+    def build(couplers: tuple[Coupler, ...], d: int) -> RecursiveView:
         if len(couplers) == 1:
             return RecursiveView((), None, None, terminal=couplers[0])
-        # Chain length at this level follows from the triangle count:
-        # len = d(d-1)/2 for subproblem size d, chain uses d-1 couplers.
-        d = round((1 + math.isqrt(1 + 8 * len(couplers))) / 2)
+        # a size-d subproblem's chain uses d-1 couplers
         chain, rest = couplers[: d - 1], couplers[d - 1 :]
-        return RecursiveView(chain[:-1], chain[-1], build(rest))
+        return RecursiveView(chain[:-1], chain[-1], build(rest, d - 1))
 
-    return build(plan.couplers)
+    return build(plan.couplers, plan.n)
 
 
 def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
@@ -291,12 +288,12 @@ def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
     phase += sum(theta) / n
 
     couplers = tuple(Coupler(p + 1, p + 2, ang, ARITY_FULL) for p, ang in rows)
-    plan = MeshPlan(n, phase, couplers)
     # An n=2 rectangle has a single physical column; pad with an identity
-    # coupler so the layer count matches the scheme's nominal depth.
-    while n >= 2 and depth(plan) < n:
-        plan = MeshPlan(n, plan.global_phase, plan.couplers + (Coupler(1, 2, _IDENTITY),))
-    return plan
+    # coupler so the layer count matches the scheme's nominal depth, which
+    # every larger n already reaches.
+    if n == 2:
+        couplers += (Coupler(1, 2, _IDENTITY),)
+    return MeshPlan(n, phase, couplers)
 
 
 def reck_decompose(m, tol: float = 1e-10) -> MeshPlan:

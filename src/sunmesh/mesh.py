@@ -18,6 +18,7 @@ multiplied out, and measured for depth, but the mode-locality operations
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ class Coupler:
             raise ValidationError(f"need 1 <= i < j, got ({self.i}, {self.j})")
         if not isinstance(self.angles, EulerAngles):
             raise ValidationError("angles must be an EulerAngles instance")
+        if not all(map(math.isfinite, self.angles)):
+            raise ValidationError(f"coupler angles must be finite, got {tuple(self.angles)}")
         if self.arity not in (ARITY_FULL, ARITY_CONSTRAINED):
             raise ValidationError(f"unknown arity {self.arity!r}")
         if self.arity == ARITY_CONSTRAINED:
@@ -89,6 +92,8 @@ class MeshPlan:
     def __post_init__(self):
         check_int(self.n, "n", 1)
         object.__setattr__(self, "global_phase", float(self.global_phase))
+        if not math.isfinite(self.global_phase):
+            raise ValidationError(f"global_phase must be finite, got {self.global_phase}")
         object.__setattr__(self, "couplers", tuple(self.couplers))
         for c in self.couplers:
             if not isinstance(c, Coupler):

@@ -270,7 +270,8 @@ def _widen(acc: np.ndarray, edge: list, photons) -> np.ndarray:
     and in its first dim(k, s) columns.  For each r in ``photons`` the
     result stacks the block-diagonal sum of L_s over s <= r, each at that
     same offset: ``range(p + 1)`` gives level j - 1, and ``(p,)`` at
-    k = n - 1 the dense product.  Each block is one slice copy.
+    j = 2 gives level 1, the dense product.  Each block is one slice
+    copy, so a walk from a column of ones builds exact 0s and 1s.
     """
     out = np.zeros((sum(edge[r + 1] for r in photons), edge[-1]), dtype=np.complex128)
     top = 0
@@ -279,20 +280,6 @@ def _widen(acc: np.ndarray, edge: list, photons) -> np.ndarray:
             out[top + lo : top + hi, lo:hi] = acc[lo:hi, : hi - lo]
         top += edge[r + 1]
     return out
-
-
-def _descend(acc: np.ndarray, edges: list, p: int, j: int, low: int) -> tuple[np.ndarray, int]:
-    """Step the running product from level j down to ``low``, 1 being dense.
-
-    Row j - 1 of ``edges``, the rank table of n modes and p + 1 photons,
-    holds the offsets of level j's lumped mode.
-    """
-    while j > max(low, 2):
-        j -= 1
-        acc = _widen(acc, edges[j - 1], range(p + 1))
-    if low == 1 and j == 2:
-        acc, j = _widen(acc, edges[0], (p,)), 1
-    return acc, j
 
 
 def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
@@ -311,11 +298,11 @@ def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
     on modes j..n (level j), the product is 1 on modes 1..j-1 times the
     lifts of one SU(n-j+1) element, held as a D_j x W_j array on the
     (n-j+2)-mode Fock space whose first mode lumps modes 1..j-1,
-    D_j = dim(n-j+2, p) and W_j = dim(n-j+1, p) (see :func:`_widen`).  The
-    dense dim x dim product is built only when a coupler touches mode 1
-    or the plan ends.  A coupler at level j costs O(D_j * W_j * (p+1)) and
-    a dense one O(dim^2 * (p+1)).  The global phase enters once per
-    photon.
+    D_j = dim(n-j+2, p) and W_j = dim(n-j+1, p).  The walk starts at level
+    n from a column of ones and steps down one level (:func:`_widen`) as
+    couplers reach lower modes, then to level 1, the dense dim x dim
+    product.  A coupler at level j costs O(D_j * W_j * (p+1)) and a dense
+    one O(dim^2 * (p+1)).  The global phase enters once per photon.
     """
     if basis.n != plan.n:
         raise ValidationError(f"basis is on {basis.n} modes but plan is on {plan.n}")
@@ -323,10 +310,10 @@ def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
     n, p, dim = basis.n, basis.p, len(basis)
     couplers = plan.couplers[::-1]
     angles = np.array([tuple(c.angles) for c in couplers], dtype=float).reshape(-1, 3)
-    # each coupler's level: the lowest mode touched so far, 1 meaning dense;
-    # at level j >= 2 it acts on the pair i-j+2 of n-j+2 modes, and on the
-    # dense product through level 2's tables
-    levels = list(itertools.accumulate((c.i for c in couplers), min))
+    # each coupler's level (the lowest mode touched so far, 1 meaning dense),
+    # then 1 to end the walk; at level j >= 2 a coupler acts on the pair
+    # i-j+2 of n-j+2 modes, and on the dense product through level 2's tables
+    levels = [*itertools.accumulate((c.i for c in couplers), min), 1]
     where = [(n - j + 2, c.i - j + 1) for c, j in zip(couplers, (max(j, 2) for j in levels))]
     spaces = {m: _pair_tables(m, p) for m in sorted({m for m, _ in where})}
     tables = [spaces[m][i] for m, i in where]
@@ -337,19 +324,18 @@ def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
     }
     chunk = max(1, dim * dim // max(1, sum((s + 1) ** 2 for s in spins)))
     edges = _rank_offsets(n, p + 1).tolist()
-    if levels and levels[0] > 1:
-        acc, j = _descend(np.ones((p + 1, 1), dtype=np.complex128), edges, p, n, levels[0])
-    else:
-        acc, j = np.eye(dim, dtype=np.complex128), 1
-    for start in range(0, len(couplers), chunk):
-        stacks = _wigner_stacks(spins, angles[start : start + chunk])
-        for k in range(start, min(start + chunk, len(couplers))):
-            if levels[k] < j:
-                acc, j = _descend(acc, edges, p, j, levels[k])
-            for s, idx in tables[k]:
-                rows = acc[idx].reshape(s + 1, -1)
-                acc[idx] = (stacks[s][k - start] @ rows).reshape(idx.shape + (acc.shape[1],))
-    acc = _descend(acc, edges, p, j, 1)[0]
+    acc, j = np.ones((basis_dimension(min(n, 2), p), 1), dtype=np.complex128), n
+    for k, low in enumerate(levels):
+        while j > low:
+            j -= 1
+            acc = _widen(acc, edges[j - 1], (p,) if j == 1 else range(p + 1))
+        if k == len(couplers):
+            break
+        if k % chunk == 0:
+            stacks = _wigner_stacks(spins, angles[k : k + chunk])
+        for s, idx in tables[k]:
+            rows = acc[idx].reshape(s + 1, -1)
+            acc[idx] = (stacks[s][k % chunk] @ rows).reshape(idx.shape + (acc.shape[1],))
     acc *= np.exp(1j * p * plan.global_phase)
     return acc
 

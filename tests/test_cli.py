@@ -12,13 +12,19 @@ import pytest
 
 import sunmesh
 from sunmesh import (
+    Coupler,
+    EulerAngles,
+    MeshPlan,
     ToleranceError,
+    clements_decompose,
     depth,
     matrix_from_json,
     matrix_to_json,
     parameter_count,
     plan_from_json,
+    plan_to_json,
     random_unitary_qr,
+    triangle_decompose,
 )
 from sunmesh.cli import main
 
@@ -195,9 +201,9 @@ def test_lift_is_byte_deterministic(tmp_path, capsys):
             assert digest == LIFT_SHA256[kind, int(p)], (kind, p)
 
 
-# SHA-256 of the stdout of the sampling, validation and Clements commands at
-# fixed seeds (NumPy 2.4.6 with scipy-openblas 0.3.31 on x86-64; another
-# BLAS may move the last bits)
+# SHA-256 of each command's stdout at fixed seeds, on the files the test below
+# writes (NumPy 2.4.6 with scipy-openblas 0.3.31 on x86-64; another BLAS may
+# move the last bits)
 STDOUT_SHA256 = {
     (
         "sample-haar",
@@ -226,13 +232,55 @@ STDOUT_SHA256 = {
     (
         "decompose", "m.json", "--scheme", "clements",
     ): "e1d7d761c114d05ea45a9de11a4d47fd36e77d9d44855d528b2ae205601bc4dd",
+    (
+        "decompose", "m.json",
+    ): "980f2773256006e18be165e1dac3cf954d0cb35fb8324c2cab594db3d8c04967",
+    (
+        "decompose", "m.json", "--canonical",
+    ): "58ac2daeca73a931a8db987bfe23428e9878d7f8241bce87f0efb4acd5194207",
+    (
+        "decompose", "m.json", "--scheme", "reck",
+    ): "72539267ae1b6ee668037eecbdc8d81b5beca00df9b1ed3b994b110c0689d8a2",
+    (
+        "reconstruct", "triangle.json",
+    ): "b648f6ece59bc9c69ff07348e2a639149baa2071eb61b20b6c211ed9111c591b",
+    (
+        "compare", "m.json",
+    ): "3925fb8496c5c70f9355d2932d147a4bfc2d2db801c14ff5f441b2a341d9872a",
+    (
+        "compare", "m.json", "--format", "csv",
+    ): "59fac627ea66e234ce3f453b4379b5b14967d6d610858efcaf91d7fbe1bb11ce",
+    (
+        "render", "triangle.json",
+    ): "d44bbf82a914ae53e9ead5351182e55373aecd0e850f5292c455066f03021c1c",
+    (
+        "render", "triangle.json", "--format", "svg",
+    ): "86a1bd85ec21a424981cdddf9c7b554deaba23a132b633a0fe77efdd89c4cfad",
+    # the last coupler of this plan is on (1, 2), so the lift is dense from
+    # its first step
+    (
+        "lift", "clements.json", "--p", "2",
+    ): "2743c693960322142e8436ffaa8d15afcda12ed259b83d36c9ffe64fdeab53d7",
+    (
+        "lift", "one.json", "--p", "3",
+    ): "422bb1e3a7ce2213c58c7639e2c36f814fb322482fe57cff6a5dac7b7099de65",
 }
+
+
+def write_plan(tmp_path, plan, name):
+    (tmp_path / name).write_text(json.dumps(plan_to_json(plan)))
 
 
 @pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
 def test_command_stdout_is_pinned(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    write_matrix(tmp_path, random_unitary_qr(8, seed=8))
+    m = random_unitary_qr(8, seed=8)
+    write_matrix(tmp_path, m)
+    clements = clements_decompose(m)
+    assert (clements.couplers[-1].i, clements.couplers[-1].j) == (1, 2)
+    write_plan(tmp_path, triangle_decompose(m), "triangle.json")
+    write_plan(tmp_path, clements, "clements.json")
+    write_plan(tmp_path, MeshPlan(1, 0.25, ()), "one.json")
     code, out, _ = run_cli(list(argv), capsys)
     assert code == (3 if "uniform" in argv else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
@@ -371,6 +419,22 @@ def test_lift_dimension_cap_exits_4(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(["lift", path, "--p", "7"], capsys)
     assert code == 4
     assert "error:" in err
+
+
+# 2 * 1e308 overflows to inf in the global phase, and 1.7e308 + 1.7e308 in the
+# coupler's half-angle sum, so each result is all NaN
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "phase,alpha,argv",
+    [(1e308, 0.1, ["lift", "plan.json", "--p", "2"]), (0.0, 1.7e308, ["reconstruct", "plan.json"])],
+)
+def test_non_finite_result_exits_3_without_json(tmp_path, capsys, monkeypatch, phase, alpha, argv):
+    monkeypatch.chdir(tmp_path)
+    coupler = Coupler(1, 2, EulerAngles(alpha, 0.2, alpha))
+    write_plan(tmp_path, MeshPlan(2, phase, (coupler,)), "plan.json")
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_lift_dimension_overflow_exits_4(capsys):

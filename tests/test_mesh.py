@@ -46,6 +46,12 @@ def test_coupler_validation():
         Coupler(1, 2, EulerAngles(0, 0, 0), "both")
     with pytest.raises(ValidationError):
         Coupler(1, 2, (0.0, 0.0, 0.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        for angles in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValidationError):
+                Coupler(1, 2, EulerAngles(*angles))
+        with pytest.raises(ValidationError):
+            MeshPlan(2, bad, ())
 
 
 def test_constrained_coupler_requires_equal_phases():
@@ -294,6 +300,7 @@ def test_plan_from_json_ignores_extra_keys():
         lambda d: d.update(couplers="nope"),
         lambda d: d["couplers"][0].pop("beta"),
         lambda d: d["couplers"][0].update(alpha=float("nan")),
+        lambda d: d.update(global_phase=float("inf")),
         lambda d: d["couplers"][0].update(i=1.5),
         lambda d: d["couplers"][0].update(arity=3),
     ],

@@ -664,6 +664,28 @@ def test_lift_plan_chunks_match_one_chunk_route(monkeypatch):
     assert np.array_equal(lifted, want)
 
 
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_lift_plan_walks_each_level_once(monkeypatch, n):
+    from sunmesh import symrep
+
+    # every walk starts at level n and steps down one level per _widen call
+    # to the dense level 1, whichever mode the plan's last coupler is on
+    widen, calls = symrep._widen, []
+
+    def spy(*args):
+        calls.append(args)
+        return widen(*args)
+
+    monkeypatch.setattr(symrep, "_widen", spy)
+    m, plan = canonical_plan(n, seed=306)
+    basis = FockBasis(n, 3)
+    for each in (plan, clements_decompose(m), MeshPlan(n, 0.5, ())):
+        calls.clear()
+        lifted = lift_plan(basis, each)
+        assert len(calls) == n - 1
+        assert np.abs(lifted - lift_via_permanents(reconstruct(each), 3)).max() < 1e-12
+
+
 def test_pair_tables_are_cached_shared_and_read_only():
     from sunmesh import symrep
 
