@@ -320,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result exits 3 in _emit_json
+            return args.func(args)
     except FormatError as exc:
         _note(f"error: {exc}")
         return _EXIT_FORMAT

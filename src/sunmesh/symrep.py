@@ -10,8 +10,7 @@ lift one photon at a time by the Laplace expansion of the permanents of
 its entries.  The two routes are algebraically identical and are kept
 independent so each can check the other.  Both find a state's row by one
 rank, the combinatorial number system of :func:`_rank`: every state table
-either route builds is that rank or a shift of it read from the rank's one
-binomial table.
+either route builds is the rank of the states it names.
 
 A configurable dimension cap (``TRIMESH_DIM_CAP``, default 5000) is checked
 when a :class:`FockBasis` or a permanent-route lift starts, before any
@@ -105,29 +104,22 @@ def _occupations(n: int, p: int) -> np.ndarray:
     return occ
 
 
-def _rank_offsets(n: int, p: int) -> np.ndarray:
-    """The rank's binomial table: (n-1, p+1), entry [k-1, t] = C(t+n-k-1, n-k).
-
-    Entry [k-1, t] counts the states of fewer than t photons on the n - k
-    modes after mode k, at most dim(n, p), so every caller's entries are
-    exact in int64 (building the array raises rather than wrap).
-    """
-    return np.array(
-        [[math.comb(t + r - 1, r) for t in range(p + 1)] for r in range(n - 1, 0, -1)], np.int64
-    ).reshape(n - 1, p + 1)
-
-
 def _rank(occ: np.ndarray) -> np.ndarray:
     """Row of each state of ``occ`` (shape (..., n)) in its :class:`FockBasis`.
 
     In lexicographically descending order the row of m is the combinatorial
     number system sum_k C(t_k + n-k-1, n-k) over k = 1..n-1, t_k being the
     photons after mode k: the states before m are those that put more
-    photons on mode k and the same on modes 1..k-1, for some k.
+    photons on mode k and the same on modes 1..k-1, for some k.  Term k
+    counts the states of fewer than t_k photons on the modes after k, at
+    most the dimension of m's basis, so the binomial table built here is
+    exact in int64 (building it raises rather than wrap).
     """
     n = occ.shape[-1]
-    after = occ.sum(axis=-1, keepdims=True) - np.cumsum(occ[..., :-1], axis=-1)
-    table = _rank_offsets(n, int(after.max(initial=0)))
+    after = np.cumsum(occ[..., :0:-1], axis=-1)[..., ::-1]
+    top = int(after.max(initial=0))
+    terms = [[math.comb(t + r - 1, r) for t in range(top + 1)] for r in range(n - 1, 0, -1)]
+    table = np.array(terms, np.int64).reshape(n - 1, top + 1)
     return table[np.arange(n - 1), after].sum(axis=-1)
 
 
@@ -187,28 +179,25 @@ def _pair_tables(n: int, p: int) -> tuple[tuple[tuple[int, np.ndarray], ...], ..
     (s+1, groups) table lists the rows of ``FockBasis(n, p)`` with
     m_i + m_{i+1} = s, one column per setting of the other occupations,
     rows ordered m_i = s, ..., 0 as in ``FockBasis(2, s)``.  The s = 0
-    block is 1.  A group starts at its state with m_{i+1} = 0; moving a
-    photons from mode i to mode i+1 raises only t_i, by a, which shifts
-    the :func:`_rank` by a difference of two entries of its table.  Shared
-    read-only, at most (n-1) * dim indices; callers hold a
-    :class:`FockBasis` of p photons on at least n modes, so the dimension
-    cap has been checked.
+    block is 1.  A group is the :func:`_rank` of its head (m_i = s,
+    m_{i+1} = 0) with a = 0..s photons moved to mode i+1.  Shared
+    read-only, at most (n-1) * dim indices; callers hold a FockBasis of p
+    photons on at least n modes, so the dimension cap has been checked.
     """
     occ = _occupations(n, p)
-    after, offsets = p - np.cumsum(occ, axis=1), _rank_offsets(n, p)
     pair, head = np.nonzero(((occ[:, :-1] > 0) & (occ[:, 1:] == 0)).T)
-    pair_photons, later = occ[head, pair], after[head, pair]
-    tables = [[] for _ in range(n - 1)]
-    for s in range(1, p + 1):
-        pick = pair_photons == s
-        q, t = pair[pick], later[pick]
-        rows = head[pick, None] + offsets[q[:, None], t[:, None] + np.arange(s + 1)]
-        rows -= offsets[q, t][:, None]
+    photons, tables = occ[head, pair], [[] for _ in range(n - 1)]
+    for s in sorted(set(photons.tolist())):
+        # (groups, s+1, n): the heads of s photons, a = 0..s of them moved
+        pick = photons == s
+        group, q = np.repeat(occ[head[pick], None], s + 1, axis=1), pair[pick, None]
+        at, moved = np.arange(len(q))[:, None], np.arange(s + 1)
+        group[at, moved, q], group[at, moved, q + 1] = s - moved, moved
+        rows = _rank(group)
         rows.flags.writeable = False
-        cut = np.searchsorted(q, np.arange(n))
-        for i in range(n - 1):
-            if cut[i] < cut[i + 1]:
-                tables[i].append((s, rows[cut[i] : cut[i + 1]].T))
+        first = np.flatnonzero(np.diff(q[:, 0], prepend=-1))  # each pair's first group
+        for i, block in zip(q[first, 0].tolist(), np.split(rows, first[1:])):
+            tables[i].append((s, block.T))
     return tuple(map(tuple, tables))
 
 
@@ -266,12 +255,13 @@ def _widen(acc: np.ndarray, edge: list, photons) -> np.ndarray:
     the lifts L_s, s = 0..p, of one unitary on the last k modes.  ``acc``
     holds them on the (k+1)-mode Fock space whose first mode lumps modes
     1..j-1: L_s sits in the rows where that mode holds p - s photons, from
-    its rank offset ``edge[s]`` = C(s+k-1, k), s = 0..p+1, to edge[s+1],
-    and in its first dim(k, s) columns.  For each r in ``photons`` the
-    result stacks the block-diagonal sum of L_s over s <= r, each at that
-    same offset: ``range(p + 1)`` gives level j - 1, and ``(p,)`` at
-    j = 2 gives level 1, the dense product.  Each block is one slice
-    copy, so a walk from a column of ones builds exact 0s and 1s.
+    ``edge[s]`` = C(s+k-1, k), the states of fewer than s photons on the
+    last k modes, to edge[s+1], and in its first dim(k, s) columns.  For
+    each r in ``photons`` the result stacks the block-diagonal sum of L_s
+    over s <= r, each at that same offset: ``range(p + 1)`` gives level
+    j - 1, and ``(p,)`` at j = 2 gives level 1, the dense product.  Each
+    block is one slice copy, so a walk from a column of ones builds exact
+    0s and 1s.
     """
     out = np.zeros((sum(edge[r + 1] for r in photons), edge[-1]), dtype=np.complex128)
     top = 0
@@ -323,12 +313,12 @@ def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
         for s in present
     }
     chunk = max(1, dim * dim // max(1, sum((s + 1) ** 2 for s in spins)))
-    edges = _rank_offsets(n, p + 1).tolist()
     acc, j = np.ones((basis_dimension(min(n, 2), p), 1), dtype=np.complex128), n
     for k, low in enumerate(levels):
         while j > low:
             j -= 1
-            acc = _widen(acc, edges[j - 1], (p,) if j == 1 else range(p + 1))
+            edge = [math.comb(s + n - j - 1, n - j) for s in range(p + 2)]
+            acc = _widen(acc, edge, (p,) if j == 1 else range(p + 1))
         if k == len(couplers):
             break
         if k % chunk == 0:
@@ -377,35 +367,27 @@ def permanent_ryser(a) -> complex:
 def _photon_tables(n: int, p: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Rank maps of the photon-number recursion, four per level q = 1..p.
 
-    For the states m of ``FockBasis(n, q)``, ``lower[j]`` holds the row of
-    m - e_j in ``FockBasis(n, q - 1)`` (0 where m_j = 0) and ``root[j]``
-    holds sqrt(m_j); both are (n, dim_q).  For the states k of
-    ``FockBasis(n, q - 1)``, ``upper[i]`` holds the row of k + e_i in
-    ``FockBasis(n, q)`` and ``weight[i]`` holds sqrt(k_i + 1); both are
-    (n, dim_{q-1}).  All are read-only.  The rows are rank shifts read
-    from the table of :func:`_rank`: a photon on mode j changes t_k, the
-    photons after mode k, by one for each k < j, and each such change moves
-    the row by one difference of adjacent entries, C(t + n-k-2, n-k-1)
-    for the step between t - 1 and t photons.  Callers check the dimension
-    cap first.
+    For the states m of ``FockBasis(n, q)``, ``lower[j]`` holds the
+    :func:`_rank` of m - e_j (0 where m_j = 0) and ``root[j]`` holds
+    sqrt(m_j); both are (n, dim_q).  For the states k of level q - 1,
+    ``upper[i]`` holds the :func:`_rank` of k + e_i and ``weight[i]``
+    holds sqrt(k_i + 1); both are (n, dim_{q-1}).  All are read-only.
+    Each level's states are enumerated once, then carried to the next.
+    Callers check the dimension cap first.
     """
-    # drop[k, t]: the row shift as t_k goes from t - 1 to t; row 0 is 0, so
-    # column j-1 of a cumsum over the modes sums the shifts for k < j
-    drop = np.zeros((n, p + 1), np.int64)
-    drop[1:] = np.diff(_rank_offsets(n, p), axis=1, prepend=0)
-    modes, levels, below = np.arange(n), [], np.zeros((1, n), np.int64)
+    levels, below, unit = [], np.zeros((1, n), np.int64), np.eye(n, dtype=np.int64)
     for q in range(1, p + 1):
         occ = _occupations(n, q)
-        after = q - np.cumsum(occ, axis=1) + occ  # column k: t_k, t_0 = q
-        lower = np.arange(len(occ))[:, None] - np.cumsum(drop[modes, after], axis=1)
-        upper = np.arange(len(below))[:, None] + np.cumsum(drop[modes, below + 1], axis=1)
-        lower, upper = np.where(occ > 0, lower, 0).T.copy(), upper.T.copy()
+        state, j = np.nonzero(occ)
+        lower = np.zeros((n, len(occ)), np.int64)
+        lower[j, state] = _rank(occ[state] - unit[j])
+        upper = _rank(below + unit[:, None])
         root = np.sqrt(occ.T)
         weight = np.take_along_axis(root, upper, axis=1)
         for table in (lower, root, upper, weight):
             table.flags.writeable = False
         levels.append((lower, root, upper, weight))
-        below = after
+        below = occ
     return tuple(levels)
 
 
