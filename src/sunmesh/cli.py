@@ -57,7 +57,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter from deep nesting
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -317,26 +317,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: BaseException, code: int) -> int:
+    """Print a failure's one ``error:`` line, its type if it has no message."""
+    _note(f"error: {str(exc) or type(exc).__name__}")
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # a non-finite result exits 3 in _emit_json
             return args.func(args)
     except FormatError as exc:
-        _note(f"error: {exc}")
-        return _EXIT_FORMAT
+        return _fail(exc, _EXIT_FORMAT)
     except ToleranceError as exc:
-        _note(f"error: {exc}")
-        return _EXIT_TOLERANCE
+        return _fail(exc, _EXIT_TOLERANCE)
     except ValidationError as exc:
-        _note(f"error: {exc}")
-        return _EXIT_VALIDATION
+        return _fail(exc, _EXIT_VALIDATION)
     except (ResourceError, OverflowError, MemoryError) as exc:
-        _note(f"error: {exc}")
-        return _EXIT_RESOURCE
+        return _fail(exc, _EXIT_RESOURCE)
     except OSError as exc:
-        _note(f"error: {exc}")
-        return _EXIT_FORMAT
+        return _fail(exc, _EXIT_FORMAT)
 
 
 if __name__ == "__main__":

@@ -48,20 +48,6 @@ __all__ = [
     "loss_analysis",
 ]
 
-_IDENTITY = EulerAngles(0.0, 0.0, 0.0)
-
-
-def _elimination_angles(a: complex, b: complex) -> EulerAngles:
-    """Zeroing angles, with the all-zero pair mapped to an identity coupler.
-
-    Entries that are already zero keep their slot in the fixed mesh shape
-    instead of being skipped.
-    """
-    if a == 0 and b == 0:
-        return _IDENTITY
-    return zeroing_angles(a, b)
-
-
 def _rotate(u: np.ndarray, v: np.ndarray, x: complex, y: complex) -> float:
     """Set ``(u, v)`` to ``K^H (u, v)`` in place and return ``rho = |(x, y)|``.
 
@@ -108,7 +94,7 @@ def _eliminate(m, tol: float, op: str, adjacent: bool) -> MeshPlan:
             x, y = w[p, k], w[q, k]
             # The rotated column is exact: the pair norm above a zero.
             w[p, k], w[q, k] = _rotate(w[p, k + 1 :], w[q, k + 1 :], x, y), 0.0
-            couplers.append(Coupler(p + 1, q + 1, _elimination_angles(x, y), ARITY_FULL))
+            couplers.append(Coupler(p + 1, q + 1, zeroing_angles(x, y), ARITY_FULL))
     return MeshPlan(n, phi, tuple(couplers))
 
 
@@ -251,11 +237,11 @@ def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
                 # W <- W K^H on columns (c, c+1) is the step on (c+1, c).
                 r, c = n - 1 - j, i - 1 - j
                 u, v, x, y = w[:, c + 1], w[:, c], w[r, c + 1], w[r, c]
-                ang, factors, lo = _elimination_angles(np.conj(x), y), right, c
+                ang, factors, lo = zeroing_angles(np.conj(x), y), right, c
             else:
                 r, c = n - i + j, j
                 u, v, x, y = w[r - 1], w[r], w[r - 1, c], w[r, c]
-                ang, factors, lo = _elimination_angles(x, y), left, r - 1
+                ang, factors, lo = zeroing_angles(x, y), left, r - 1
             _rotate(u, v, x, y)
             w[r, c] = 0.0
             factors.append([lo, ang])
@@ -288,11 +274,11 @@ def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
     phase += sum(theta) / n
 
     couplers = tuple(Coupler(p + 1, p + 2, ang, ARITY_FULL) for p, ang in rows)
-    # An n=2 rectangle has a single physical column; pad with an identity
-    # coupler so the layer count matches the scheme's nominal depth, which
-    # every larger n already reaches.
+    # An n=2 rectangle has a single physical column; pad with the identity
+    # coupler of the zero pair so the layer count matches the scheme's
+    # nominal depth, which every larger n already reaches.
     if n == 2:
-        couplers += (Coupler(1, 2, _IDENTITY),)
+        couplers += (Coupler(1, 2, zeroing_angles(0.0, 0.0)),)
     return MeshPlan(n, phase, couplers)
 
 

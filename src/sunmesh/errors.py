@@ -18,7 +18,6 @@ from numbers import Real
 __all__ = [
     "FormatError",
     "ValidationError",
-    "DegenerateInputError",
     "ToleranceError",
     "ResourceError",
 ]
@@ -30,10 +29,6 @@ class FormatError(ValueError):
 
 class ValidationError(ValueError):
     """Input parses fine but violates a mathematical precondition."""
-
-
-class DegenerateInputError(ValidationError):
-    """A rotation was requested for data that determines no rotation."""
 
 
 class ToleranceError(RuntimeError):

@@ -1,6 +1,5 @@
 """Dense complex matrix helpers: unitarity checks, determinant phase removal,
-skew-Hermitian exponentials, seeded Haar-random unitaries, and the JSON matrix
-interchange format.
+seeded Haar-random unitaries, and the JSON matrix interchange format.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from .errors import FormatError, ValidationError, check_int, finite_float
 __all__ = [
     "as_complex_matrix",
     "is_unitary",
-    "determinant",
     "project_to_su",
-    "expm_skew_hermitian",
     "random_unitary_qr",
     "matrix_to_json",
     "matrix_from_json",
@@ -34,11 +31,6 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def _check_tol(tol) -> None:
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
-
-
 def is_unitary(m, tol: float = 1e-10) -> bool:
     """True when ``m.conj().T @ m`` is the identity within Frobenius norm tol.
 
@@ -46,14 +38,10 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
     the library entry points that take a ``tol`` check it here.
     """
     a = as_complex_matrix(m)
-    _check_tol(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     n = a.shape[0]
     return float(np.linalg.norm(a.conj().T @ a - np.eye(n))) <= tol
-
-
-def determinant(m) -> complex:
-    """Determinant via LU with partial pivoting (LAPACK)."""
-    return complex(np.linalg.det(as_complex_matrix(m)))
 
 
 def project_to_su(m, tol: float = 1e-10) -> tuple[float, np.ndarray]:
@@ -66,23 +54,8 @@ def project_to_su(m, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     if not is_unitary(a, tol):
         raise ValidationError("project_to_su requires a unitary matrix")
     n = a.shape[0]
-    phi = cmath.phase(determinant(a)) / n
+    phi = cmath.phase(np.linalg.det(a)) / n
     return phi, a * cmath.exp(-1j * phi)
-
-
-def expm_skew_hermitian(h, tol: float = 1e-10) -> np.ndarray:
-    """Exponential of a skew-Hermitian matrix by unitary diagonalization.
-
-    ``i*h`` is Hermitian, so ``exp(h) = V diag(exp(-i w)) V*`` with
-    ``w, V = eigh(i*h)``.  The result is exactly normal and unitary to
-    rounding, independent of the norm of ``h``.
-    """
-    a = as_complex_matrix(h)
-    _check_tol(tol)
-    if float(np.linalg.norm(a + a.conj().T)) > tol:
-        raise ValidationError("expm_skew_hermitian requires h = -h.conj().T")
-    w, v = np.linalg.eigh(1j * a)
-    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def random_unitary_qr(n: int, seed: int = 0) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import ValidationError
 from .linalg import as_complex_matrix, is_unitary
 
 __all__ = [
@@ -117,12 +117,11 @@ def zeroing_angles(a: complex, b: complex) -> EulerAngles:
 
     with ``rho`` real and positive, which is the elimination step every
     mesh factorization below is built from.  The phase of an exactly zero
-    entry is taken to be 0, and both entries vanishing is degenerate.
+    entry is taken to be 0, so the pair (0, 0), which needs no rotation,
+    gives the identity coupler ``EulerAngles(0.0, 0.0, 0.0)``.
     """
     a = complex(a)
     b = complex(b)
-    if a == 0 and b == 0:
-        raise DegenerateInputError("zeroing_angles requires (a, b) != (0, 0)")
     phase_a = cmath.phase(a) if a != 0 else 0.0
     phase_b = cmath.phase(b) if b != 0 else 0.0
     return EulerAngles(

@@ -30,13 +30,12 @@ import numpy as np
 
 from .errors import ResourceError, ValidationError, check_int
 from .linalg import as_complex_matrix, is_unitary
-from .mesh import Coupler, MeshPlan, _require_adjacent
+from .mesh import MeshPlan, _require_adjacent
 
 __all__ = [
     "FockBasis",
     "basis_dimension",
     "lifted_generator",
-    "lift_coupler",
     "lift_plan",
     "lift_via_permanents",
     "permanent_ryser",
@@ -239,15 +238,6 @@ def _wigner_stacks(spins: dict, angles: np.ndarray) -> dict[int, np.ndarray]:
     return stacks
 
 
-def lift_coupler(basis: FockBasis, c: Coupler) -> np.ndarray:
-    """Lift one adjacent coupler to the p-photon basis (see :func:`lift_plan`).
-
-    The z rotations lift to diagonal phases exp(i*(theta/2)*(m_i - m_j))
-    and the middle rotation to exp(-(beta/2)*(C_ij - C_ji)).
-    """
-    return lift_plan(basis, MeshPlan(basis.n, 0.0, (c,)))
-
-
 def _widen(acc: np.ndarray, edge: list, photons) -> np.ndarray:
     """Re-embed lifts on the last k modes one mode further down the mesh.
 
@@ -277,11 +267,13 @@ def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
 
     A coupler on (i, i+1) acts on each group of s+1 states that share
     s = m_i + m_{i+1} and the other occupations through one (s+1)x(s+1)
-    Wigner block that depends only on s and the angles, built for a chunk
-    of couplers at a time (:func:`_wigner_stacks`) so that a chunk's blocks
-    hold at most dim^2 entries.  Couplers are applied last to first, each
-    multiplying the running product from the left, one matmul per s for
-    all its groups at once.
+    Wigner block that depends only on s and the angles: its z rotations
+    lift to diagonal phases exp(i*(theta/2)*(m_i - m_{i+1})) and its middle
+    rotation to exp(-(beta/2)*(C_{i,i+1} - C_{i+1,i})).  Blocks are built
+    for a chunk of couplers at a time (:func:`_wigner_stacks`) so that a
+    chunk's blocks hold at most dim^2 entries.  Couplers are applied last
+    to first, each multiplying the running product from the left, one
+    matmul per s for all its groups at once.
 
     The running product follows the paper's recursion SU(n) = SU(2)
     coupler times SU(n-1) block.  While every coupler applied so far acts
@@ -292,11 +284,14 @@ def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
     n from a column of ones and steps down one level (:func:`_widen`) as
     couplers reach lower modes, then to level 1, the dense dim x dim
     product.  A coupler at level j costs O(D_j * W_j * (p+1)) and a dense
-    one O(dim^2 * (p+1)).  The global phase enters once per photon.
+    one O(dim^2 * (p+1)).  The global phase enters once per photon, so at
+    p = 0 the lift is [[1]] and no level is walked.
     """
     if basis.n != plan.n:
         raise ValidationError(f"basis is on {basis.n} modes but plan is on {plan.n}")
     _require_adjacent(plan, "lift_plan")
+    if basis.p == 0:
+        return np.ones((1, 1), dtype=np.complex128)
     n, p, dim = basis.n, basis.p, len(basis)
     couplers = plan.couplers[::-1]
     angles = np.array([tuple(c.angles) for c in couplers], dtype=float).reshape(-1, 3)

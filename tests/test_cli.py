@@ -223,15 +223,15 @@ STDOUT_SHA256 = {
     (
         "validate-haar",
         "--n", "3", "--seed", "4",
-    ): "89491349d01a72c4baf3716da22e77f955bab9252ef27b94b77c4c1e6f851887",
+    ): "0bf528df2d2e66a6d7906ce1475856d02ebe6f83ad180d7853434e2b05f457af",
     (
         "validate-haar",
         "--n", "3", "--seed", "4", "--beta-mode", "uniform",
-    ): "df29be8a591b10ce7775d671d90a4c00f2ab5aae4c6e816314a627b6e3bd6c08",
+    ): "ac4f3624ec3f359e75a15aa11caf54e589b4a9d22828eeade13113f49f9d4221",
     (
         "validate-haar",
         "--n", "3", "--seed", "4", "--source", "qr", "--samples", "6000",
-    ): "fc9b5b77cd1a36ee9e1fa25755aa8e96f3316c3660cc182b491d4349aef9625a",
+    ): "1d2510d265b3c6f3a5777be03b5ed79c70fb95bea8bb725c2bece9d03e0a2dfe",
     (
         "decompose", "m.json", "--scheme", "clements",
     ): "e1d7d761c114d05ea45a9de11a4d47fd36e77d9d44855d528b2ae205601bc4dd",
@@ -440,6 +440,39 @@ def test_non_finite_result_exits_3_without_json(tmp_path, capsys, monkeypatch, p
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_deeply_nested_json_exits_1_with_one_line(tmp_path, capsys):
+    # json.load raises RecursionError, not JSONDecodeError, on deep nesting
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for argv in (["reconstruct", str(path)], ["lift", str(path), "--p", "2"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_failure_without_a_message_names_its_type(capsys, monkeypatch):
+    # a bare MemoryError has an empty message; its line still says what failed
+    from sunmesh import cli
+
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_sample_haar", out_of_memory)
+    assert run_cli(["sample-haar", "--n", "3"], capsys) == (4, "", "error: MemoryError\n")
+
+
+@pytest.mark.parametrize("phase", [0.7, -0.7])
+def test_lift_at_zero_photons_is_one(tmp_path, capsys, monkeypatch, phase):
+    monkeypatch.chdir(tmp_path)
+    plan = triangle_decompose(random_unitary_qr(3, seed=13))
+    write_plan(tmp_path, MeshPlan(3, phase, plan.couplers), "plan.json")
+    code, out, _ = run_cli(["lift", "plan.json", "--p", "0"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["provenance"]["dimension"] == 1
+    assert doc["entries"] == [[[1.0, 0.0]]] and "-0.0" not in out
+
+
 def test_lift_dimension_overflow_exits_4(capsys):
     assert run_cli(["lift", "--n", "2000", "--p", "500"], capsys)[0] == 4
 
@@ -600,3 +633,31 @@ def test_console_script_entry_point():
         proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1287"
+
+
+def test_stdout_does_not_depend_on_blas_threads(tmp_path):
+    # the same commands under one and under two BLAS threads print the same bytes
+    root = Path(__file__).resolve().parents[1]
+    write_plan(tmp_path, triangle_decompose(random_unitary_qr(4, seed=11)), "plan.json")
+    matrix = write_matrix(tmp_path, random_unitary_qr(4, seed=12))
+    commands = [
+        ["lift", str(tmp_path / "plan.json"), "--p", "3"],
+        ["lift", matrix, "--p", "3"],
+        ["decompose", matrix, "--canonical"],
+        ["validate-haar", "--n", "4", "--samples", "2000"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    for argv in commands:
+        outputs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "sunmesh.cli", *argv],
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv

@@ -262,6 +262,33 @@ def test_validate_haar_moments_match_the_full_sample():
     assert abs(report["moments"]["max_sigma"] - sigma) <= 1e-10
 
 
+def test_validate_haar_moments_pvalue_is_bonferroni_over_the_entries():
+    n = 4
+    moments = validate_haar(n, 3000, seed=3)["moments"]
+    want = min(1.0, n * n * math.erfc(moments["max_sigma"] / math.sqrt(2.0)))
+    assert moments["pvalue"] == want
+    assert moments["passed"] == (want > 0.01)
+
+
+FOURIER_4 = np.array([[1j ** (j * k) for k in range(4)] for j in range(4)]) / 2
+
+
+# every |U_ij|^2 is constant, so every standard error is exactly 0: the
+# identity's entries miss 1/4 (z = inf), the Fourier matrix's hit it (z = NaN)
+@pytest.mark.parametrize("sample", [np.eye(4), FOURIER_4], ids=["identity", "fourier"])
+def test_validate_haar_non_finite_max_sigma_fails(monkeypatch, sample):
+    from sunmesh import haar
+
+    def constant(n, seed, chunk, size, beta_mode):
+        return np.tile(sample, (size, 1, 1))
+
+    monkeypatch.setattr(haar, "_chunk_unitaries", constant)
+    with np.errstate(all="ignore"):
+        moments = validate_haar(4, 2000)["moments"]
+    assert not math.isfinite(moments["max_sigma"])
+    assert moments["passed"] is False
+
+
 def test_validate_haar_memory_does_not_grow_with_the_sample_array():
     import tracemalloc
 

@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from sunmesh import (
     FormatError,
     ValidationError,
     as_complex_matrix,
-    expm_skew_hermitian,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
@@ -64,20 +62,6 @@ def test_project_to_su_random_input():
 def test_project_to_su_rejects_nonunitary():
     with pytest.raises(ValidationError):
         project_to_su(np.diag([1.0, 2.0]))
-
-
-def test_expm_skew_hermitian_matches_scipy():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = a - a.conj().T
-    got = expm_skew_hermitian(h)
-    assert np.allclose(got, expm(h), atol=1e-12)
-    assert is_unitary(got, tol=1e-12)
-
-
-def test_expm_skew_hermitian_rejects_symmetric_part():
-    with pytest.raises(ValidationError):
-        expm_skew_hermitian(np.eye(2))
 
 
 def test_random_unitary_qr_is_unitary_and_seeded():
@@ -174,11 +158,8 @@ def test_tol_must_be_finite_and_non_negative(tol):
         is_unitary(np.eye(2), tol)
     with pytest.raises(ValidationError, match="tol"):
         project_to_su(np.eye(2), tol)
-    with pytest.raises(ValidationError, match="tol"):
-        expm_skew_hermitian(np.zeros((2, 2)), tol)
 
 
 def test_zero_tol_is_valid():
     assert is_unitary(np.eye(3), 0.0)
     assert not is_unitary(np.diag([1.0, 1.0 + 1e-15]), 0.0)
-    assert np.array_equal(expm_skew_hermitian(np.zeros((2, 2)), 0.0), np.eye(2))

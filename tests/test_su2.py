@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sunmesh import (
-    DegenerateInputError,
     EulerAngles,
     ValidationError,
     euler_from_su2,
@@ -125,8 +124,13 @@ def test_zeroing_angles_zero_entry_uses_zero_phase():
 
 
 def test_zeroing_angles_degenerate_pair():
-    with pytest.raises(DegenerateInputError):
-        zeroing_angles(0.0, 0.0)
+    # (0, 0) needs no rotation: the zero-phase rule gives the identity coupler,
+    # every angle +0.0 whatever the signs of the zeros
+    for a, b in [(0.0, 0.0), (-0.0, 0j), (complex(-0.0, -0.0), -0.0), (0, 0)]:
+        ang = zeroing_angles(a, b)
+        assert ang == EulerAngles(0.0, 0.0, 0.0)
+        assert all(math.copysign(1.0, x) == 1.0 for x in ang), (a, b)
+        assert np.array_equal(su2_from_euler(ang), np.eye(2))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

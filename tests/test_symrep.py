@@ -19,7 +19,6 @@ from sunmesh import (
     basis_dimension,
     canonicalize,
     clements_decompose,
-    lift_coupler,
     lift_plan,
     lift_via_permanents,
     lifted_generator,
@@ -29,6 +28,11 @@ from sunmesh import (
     reconstruct,
     triangle_decompose,
 )
+
+
+def lift_coupler(basis, c):
+    # one coupler's lift is the lift of the one-coupler plan
+    return lift_plan(basis, MeshPlan(basis.n, 0.0, (c,)))
 
 
 def canonical_plan(n, seed):
@@ -684,6 +688,31 @@ def test_lift_plan_walks_each_level_once(monkeypatch, n):
         lifted = lift_plan(basis, each)
         assert len(calls) == n - 1
         assert np.abs(lifted - lift_via_permanents(reconstruct(each), 3)).max() < 1e-12
+
+
+def test_lift_plan_at_zero_photons_walks_no_level(monkeypatch):
+    from sunmesh import symrep
+
+    # FockBasis(n, 0) has one state for any n, so the dimension cap never
+    # bounds a walk of n - 1 levels; the lift is [[1]] before any of them
+    widen, calls = symrep._widen, []
+
+    def spy(*args):
+        calls.append(args)
+        return widen(*args)
+
+    monkeypatch.setattr(symrep, "_widen", spy)
+    n = 50
+    m, plan = canonical_plan(n, seed=307)
+    for each in (plan, MeshPlan(n, -0.5, ()), MeshPlan(n, 2.5, plan.couplers)):
+        lifted = lift_plan(FockBasis(n, 0), each)
+        assert lifted.dtype == np.complex128 and lifted.shape == (1, 1)
+        assert lifted[0, 0] == 1.0 and np.signbit(lifted.view(float)).sum() == 0
+    assert len(calls) == 0
+    # the plan is still checked first
+    far = Coupler(1, 3, EulerAngles(0, 1, 0), ARITY_FULL)
+    with pytest.raises(ValidationError):
+        lift_plan(FockBasis(3, 0), MeshPlan(3, 0.0, (far,)))
 
 
 def test_pair_tables_are_cached_shared_and_read_only():
