@@ -61,32 +61,30 @@ def _read_json(path: str):
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _write_text(text: str, output: str | None) -> None:
-    if output is None or output == "-":
+def _emit(args, result, **provenance) -> None:
+    """Write a command's result to ``--output``, or to stdout if that is
+    missing or ``-``, ending in exactly one newline.
+
+    A ``str`` goes out as it is; a ``dict`` as a JSON document headed by
+    the command, tol, seed and ``provenance``, or :class:`ValidationError`
+    if it is not finite.
+    """
+    if isinstance(result, dict):
+        header = {"command": args.command, "tol": args.tol, "seed": args.seed, **provenance}
+        try:
+            result = json.dumps({"provenance": header, **result}, indent=2, allow_nan=False)
+        except ValueError:
+            raise ValidationError("result is not finite, so it has no JSON form") from None
+    text = result.rstrip("\n") + "\n"
+    if args.output is None or args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _emit_json(doc: dict, output: str | None) -> None:
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:
-        raise ValidationError("result is not finite, so it has no JSON form") from None
-    _write_text(text + "\n", output)
-
-
-def _provenance(args) -> dict:
-    return {"command": args.command, "tol": args.tol, "seed": args.seed}
 
 
 def _note(text: str) -> None:
     print(text, file=sys.stderr)
-
-
-def _residual(plan, m) -> float:
-    return float(np.linalg.norm(reconstruct(plan) - m))
 
 
 def cmd_decompose(args) -> int:
@@ -101,9 +99,8 @@ def cmd_decompose(args) -> int:
         plan = _dec.reck_decompose(m, args.tol)
     else:
         plan = _dec.clements_decompose(m, args.tol)
-    residual = _residual(plan, m)
-    doc = {"provenance": _provenance(args), **plan_to_json(plan)}
-    _emit_json(doc, args.output)
+    residual = float(np.linalg.norm(reconstruct(plan) - m))
+    _emit(args, plan_to_json(plan))
     _note(
         f"scheme={args.scheme} boxes={len(plan.couplers)} depth={depth(plan)} "
         f"parameters={parameter_count(plan)} residual={residual:.3e}"
@@ -113,9 +110,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     plan = plan_from_json(_read_json(args.input))
-    m = reconstruct(plan)
-    doc = {"provenance": _provenance(args), **matrix_to_json(m)}
-    _emit_json(doc, args.output)
+    _emit(args, matrix_to_json(reconstruct(plan)))
     _note(f"n={plan.n} boxes={len(plan.couplers)} depth={depth(plan)}")
     return _EXIT_OK
 
@@ -155,26 +150,12 @@ def cmd_compare(args) -> int:
         raise ValidationError("compare needs --n or an input matrix")
     rows = _compare_rows(m, args.tol, args.loss_db)
     if args.format == "csv":
-        header = list(rows[0])
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[key]) for key in header))
-        _write_text("\n".join(lines) + "\n", args.output)
+        # str of a Python float is its repr, so cells keep every digit
+        lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
+        _emit(args, "\n".join(lines))
     else:
-        doc = {
-            "provenance": _provenance(args),
-            "n": m.shape[0],
-            "loss_db": args.loss_db,
-            "schemes": rows,
-        }
-        _emit_json(doc, args.output)
+        _emit(args, {"n": m.shape[0], "loss_db": args.loss_db, "schemes": rows})
     return _EXIT_OK
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def cmd_sample_haar(args) -> int:
@@ -182,11 +163,7 @@ def cmd_sample_haar(args) -> int:
         raise ValidationError("sample-haar needs --n")
     spec = HaarSpec(args.n, seed=args.seed)
     plan = sample_coset(spec) if args.coset else sample_haar(spec)
-    if args.emit == "matrix":
-        doc = {"provenance": _provenance(args), **matrix_to_json(reconstruct(plan))}
-    else:
-        doc = {"provenance": _provenance(args), **plan_to_json(plan)}
-    _emit_json(doc, args.output)
+    _emit(args, matrix_to_json(reconstruct(plan)) if args.emit == "matrix" else plan_to_json(plan))
     return _EXIT_OK
 
 
@@ -200,7 +177,7 @@ def cmd_validate_haar(args) -> int:
         source=args.source,
         beta_mode=args.beta_mode,
     )
-    _emit_json({"provenance": _provenance(args), **report}, args.output)
+    _emit(args, report)
     return _EXIT_OK if report["passed"] else _EXIT_VALIDATION
 
 
@@ -208,7 +185,7 @@ def cmd_lift(args) -> int:
     if args.input is None:
         if args.n is None:
             raise ValidationError("lift needs an input document or --n")
-        print(basis_dimension(args.n, args.p))
+        _emit(args, str(basis_dimension(args.n, args.p)))
         return _EXIT_OK
     obj = _read_json(args.input)
     if isinstance(obj, dict) and "couplers" in obj:
@@ -220,23 +197,13 @@ def cmd_lift(args) -> int:
         m = matrix_from_json(obj)
         lifted = lift_via_permanents(m, args.p, tol=args.tol)
         n, route = m.shape[0], "permanents"
-    provenance = {
-        **_provenance(args),
-        "n": n,
-        "p": args.p,
-        "dimension": lifted.shape[0],
-        "route": route,
-    }
-    _emit_json({"provenance": provenance, **matrix_to_json(lifted)}, args.output)
+    _emit(args, matrix_to_json(lifted), n=n, p=args.p, dimension=lifted.shape[0], route=route)
     return _EXIT_OK
 
 
 def cmd_render(args) -> int:
     plan = plan_from_json(_read_json(args.input))
-    text = render(plan, format=args.format)
-    if not text.endswith("\n"):
-        text += "\n"
-    _write_text(text, args.output)
+    _emit(args, render(plan, format=args.format))
     return _EXIT_OK
 
 
@@ -326,7 +293,7 @@ def _fail(exc: BaseException, code: int) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        with np.errstate(all="ignore"):  # a non-finite result exits 3 in _emit_json
+        with np.errstate(all="ignore"):  # a non-finite result exits 3 in _emit
             return args.func(args)
     except FormatError as exc:
         return _fail(exc, _EXIT_FORMAT)

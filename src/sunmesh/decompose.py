@@ -326,20 +326,19 @@ def loss_analysis(plan: MeshPlan, per_coupler_loss_db: float) -> list[dict]:
     loss = float(per_coupler_loss_db)
     if loss < 0:
         raise ValidationError("per-coupler loss must be nonnegative")
-    n = plan.n
-    order = list(reversed(plan.couplers))
+    # best[k, mode] and worst[k, mode]: the fewest and most couplers crossed
+    # so far by a route from input ``mode`` now on mode k, for all inputs at
+    # once; worst does not start as -best, whose -0.0 would print at n = 1
+    start = np.eye(plan.n, dtype=bool)
+    best, worst = np.where(start, 0.0, math.inf), np.where(start, 0.0, -math.inf)
+    for c in reversed(plan.couplers):
+        p, q = c.i - 1, c.j - 1
+        best[p] = best[q] = np.minimum(best[p], best[q]) + 1
+        worst[p] = worst[q] = np.maximum(worst[p], worst[q]) + 1
     report = []
-    for mode in range(1, n + 1):
-        best = [math.inf] * n
-        worst = [-math.inf] * n
-        best[mode - 1] = worst[mode - 1] = 0
-        for c in order:
-            p, q = c.i - 1, c.j - 1
-            best[p] = best[q] = min(best[p], best[q]) + 1
-            worst[p] = worst[q] = max(worst[p], worst[q]) + 1
-        b, w = min(best), max(worst)
+    for mode, (b, w) in enumerate(zip(best.min(axis=0).tolist(), worst.max(axis=0).tolist()), 1):
         if not math.isfinite(w * loss):
-            raise ValidationError(f"per-coupler loss {loss} over {w} couplers is not finite")
+            raise ValidationError(f"per-coupler loss {loss} over {int(w)} couplers is not finite")
         report.append(
             {
                 "mode": mode,

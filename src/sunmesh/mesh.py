@@ -138,7 +138,7 @@ def reconstruct(plan: MeshPlan) -> np.ndarray:
     """
     table = np.array([tuple(c.angles) for c in plan.couplers], dtype=float).reshape(-1, 3)
     u = _product(plan.n, _pairs(plan), EulerAngles(*table.T))
-    return cmath.exp(1j * plan.global_phase) * u
+    return cmath.exp(1j * math.fmod(plan.global_phase, 2.0 * math.pi)) * u
 
 
 def _product(n: int, pairs: list[tuple[int, int]], angles: EulerAngles) -> np.ndarray:

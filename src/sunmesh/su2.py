@@ -67,13 +67,16 @@ class EulerAngles:
 def su2_from_euler(angles: EulerAngles) -> np.ndarray:
     """Build the 2x2 special unitary K(alpha, beta, gamma).
 
-    Accepts any real angles; no range normalization is applied.  Fields
-    that are equal-shape arrays give shape ``(2, 2, *shape)``.
+    Accepts any finite real angles.  Each is first reduced mod 4*pi, which
+    leaves the matrix unchanged and keeps the half-angle sums as exact as
+    those of :func:`sunmesh.symrep.lift_plan`, which reduces the same way.
+    Fields that are equal-shape arrays give shape ``(2, 2, *shape)``.
     """
-    half_sum = 0.5 * (angles.alpha + angles.gamma)
-    half_diff = 0.5 * (angles.alpha - angles.gamma)
-    c = np.cos(0.5 * angles.beta)
-    s = np.sin(0.5 * angles.beta)
+    alpha, beta, gamma = (np.fmod(x, 2.0 * _TWO_PI) for x in angles)
+    half_sum = 0.5 * (alpha + gamma)
+    half_diff = 0.5 * (alpha - gamma)
+    c = np.cos(0.5 * beta)
+    s = np.sin(0.5 * beta)
     return np.array(
         [
             [np.exp(1j * half_sum) * c, -np.exp(1j * half_diff) * s],

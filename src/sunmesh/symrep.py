@@ -223,10 +223,12 @@ def _wigner_stacks(spins: dict, angles: np.ndarray) -> dict[int, np.ndarray]:
     """Spin-s/2 Wigner D-matrices of k couplers on ``FockBasis(2, s)``.
 
     ``spins`` maps each s to its :func:`_spin_eigensystem` and ``angles``
-    is the (k, 3) alpha/beta/gamma table.  Returns one (k, s+1, s+1) stack
-    per s; each block comes out as it would alone, whatever the chunking.
+    is the (k, 3) alpha/beta/gamma table, each angle reduced mod 4*pi as
+    :func:`sunmesh.su2.su2_from_euler` reduces it.  Returns one
+    (k, s+1, s+1) stack per s; each block comes out as it would alone,
+    whatever the chunking.
     """
-    alpha, beta, gamma = (x[:, None] for x in angles.T)
+    alpha, beta, gamma = (np.fmod(x, 4.0 * math.pi)[:, None] for x in angles.T)
     stacks = {}
     for s, (w, v, vh, d) in spins.items():
         # alpha phases on the left, gamma phases on the right, in this
@@ -321,7 +323,7 @@ def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
         for s, idx in tables[k]:
             rows = acc[idx].reshape(s + 1, -1)
             acc[idx] = (stacks[s][k % chunk] @ rows).reshape(idx.shape + (acc.shape[1],))
-    acc *= np.exp(1j * p * plan.global_phase)
+    acc *= np.exp(1j * p * math.fmod(plan.global_phase, 2.0 * math.pi))
     return acc
 
 

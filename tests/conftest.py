@@ -1,5 +1,7 @@
 import importlib
+import os
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,18 @@ def cold_caches():
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
+
+
+@pytest.fixture
+def child_env(request):
+    """Environment for a Python child process that imports this checkout.
+
+    The package's source directory leads PYTHONPATH, and PYTHONWARNINGS
+    carries the ``filterwarnings`` policy of pyproject.toml, which pytest
+    applies only in its own process.
+    """
+    env = dict(os.environ)
+    src = str(Path(sunmesh.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = ",".join(request.config.getini("filterwarnings"))
+    return env

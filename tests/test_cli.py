@@ -1,7 +1,7 @@
 import hashlib
 import io
 import json
-import os
+import math
 import shutil
 import subprocess
 import sys
@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import sunmesh
 from sunmesh import (
     Coupler,
     EulerAngles,
@@ -98,6 +97,14 @@ def test_bad_json_exits_1(tmp_path, capsys):
 def test_missing_file_exits_1(capsys):
     code, _, err = run_cli(["decompose", "/no/such/file.json"], capsys)
     assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_failed_write_exits_1_with_one_line(tmp_path, capsys):
+    # the summary note follows the write, so a failed write prints only the error
+    path = write_matrix(tmp_path, np.eye(3))
+    code, out, err = run_cli(["decompose", path, "--output", str(tmp_path / "no" / "f")], capsys)
+    assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
 
 
@@ -424,18 +431,35 @@ def test_lift_dimension_cap_exits_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# 2 * 1e308 overflows to inf in the global phase, and 1.7e308 + 1.7e308 in the
-# coupler's half-angle sum, so each result is all NaN; NumPy's warnings about
-# it must not reach stderr ahead of the one error line
+# the global phase is reduced mod 2*pi and each angle mod 4*pi before any
+# product, so 2 * 1e308 and 1.7e308 + 1.7e308 never overflow: each plan
+# prints what the plan reduced by hand prints
 @pytest.mark.parametrize(
     "phase,alpha,argv",
     [(1e308, 0.1, ["lift", "plan.json", "--p", "2"]), (0.0, 1.7e308, ["reconstruct", "plan.json"])],
 )
-def test_non_finite_result_exits_3_without_json(tmp_path, capsys, monkeypatch, phase, alpha, argv):
+def test_huge_angles_give_the_reduced_plans_result(tmp_path, capsys, monkeypatch, phase, alpha, argv):
     monkeypatch.chdir(tmp_path)
-    coupler = Coupler(1, 2, EulerAngles(alpha, 0.2, alpha))
-    write_plan(tmp_path, MeshPlan(2, phase, (coupler,)), "plan.json")
-    code, out, err = run_cli(argv, capsys)
+    outs = []
+    for phi, a in ((phase, alpha), (math.fmod(phase, 2 * math.pi), math.fmod(alpha, 4 * math.pi))):
+        write_plan(tmp_path, MeshPlan(2, phi, (Coupler(1, 2, EulerAngles(a, 0.2, a)),)), "plan.json")
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+# a 1 x 1 matrix of 1e75 is unitary within --tol 1e160, and its fifth power
+# overflows, so that lift is infinite; NumPy's warnings about it must not
+# reach stderr ahead of the one error line
+def test_non_finite_result_exits_3_without_json(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 1, "entries": [[[1e75, 0.0]]]}))
+    argv = ["lift", str(path), "--tol", "1e160", "--p"]
+    code, out, _ = run_cli(argv + ["4"], capsys)
+    assert code == 0
+    assert json.loads(out)["entries"] == [[[9.999999999999998e299, 0.0]]]
+    code, out, err = run_cli(argv + ["5"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
@@ -497,39 +521,52 @@ def test_stdin_input(capsys, monkeypatch):
     assert json.loads(out)["n"] == 3
 
 
-def test_output_flag_writes_file(tmp_path, capsys):
-    mpath = write_matrix(tmp_path, np.eye(3))
-    target = tmp_path / "out.json"
-    code, out, _ = run_cli(["decompose", mpath, "--output", str(target)], capsys)
-    assert code == 0
-    assert out == ""
-    assert json.loads(target.read_text())["n"] == 3
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "m.json"],
+        ["reconstruct", "plan.json"],
+        ["sample-haar", "--n", "4"],
+        ["validate-haar", "--n", "3", "--samples", "1000"],
+        ["lift", "plan.json", "--p", "2"],
+        ["lift", "--n", "9", "--p", "5"],
+        ["compare", "m.json"],
+        ["compare", "m.json", "--format", "csv"],
+        ["render", "plan.json"],
+        ["render", "plan.json", "--format", "svg"],
+    ],
+    ids=" ".join,
+)
+def test_output_flag_writes_file(tmp_path, capsys, monkeypatch, argv):
+    # --output takes exactly the bytes the command prints without it
+    monkeypatch.chdir(tmp_path)
+    m = random_unitary_qr(4, seed=14)
+    write_matrix(tmp_path, m)
+    write_plan(tmp_path, triangle_decompose(m), "plan.json")
+    code, expected, _ = run_cli(argv, capsys)
+    assert expected
+    assert run_cli([*argv, "--output", "f"], capsys)[:2] == (code, "")
+    assert (tmp_path / "f").read_text(encoding="utf-8") == expected
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(child_env):
     # SciPy is imported only by the functions that use it, so start-up of
     # every subcommand stays free of scipy.stats and scipy.sparse; nothing
     # runs on a thread pool, so concurrent.futures is not loaded either.
-    src = str(Path(sunmesh.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, sunmesh.cli; "
         "print([m for m in ('scipy.stats', 'scipy.sparse', 'concurrent.futures') "
         "if m in sys.modules])"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-def test_lift_path_loads_no_scipy(tmp_path):
+def test_lift_path_loads_no_scipy(tmp_path, child_env):
     # the generator lift fills its dense generators without scipy.sparse
-    src = str(Path(sunmesh.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     plan_path, out_path = str(tmp_path / "plan.json"), str(tmp_path / "out.json")
     code = (
         "import json, sys\n"
@@ -542,18 +579,15 @@ def test_lift_path_loads_no_scipy(tmp_path):
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert json.loads(Path(out_path).read_text())["provenance"]["dimension"] == 10
 
 
-def test_validate_haar_path_loads_no_scipy(tmp_path):
+def test_validate_haar_path_loads_no_scipy(tmp_path, child_env):
     # the KS p-values are computed in NumPy, not by scipy.stats
-    src = str(Path(sunmesh.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out_path = str(tmp_path / "report.json")
     code = (
         "import sys\n"
@@ -563,19 +597,16 @@ def test_validate_haar_path_loads_no_scipy(tmp_path):
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert json.loads(Path(out_path).read_text())["samples"] == 2000
 
 
-def test_library_runs_without_scipy():
+def test_library_runs_without_scipy(child_env):
     # SciPy is a test-only dependency: with every scipy import blocked, the
     # generators, both lifts and the Haar validation still run
-    src = str(Path(sunmesh.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -588,17 +619,14 @@ def test_library_runs_without_scipy():
         "assert validate_haar(3, 2000)['samples'] == 2000\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("n,p", [("100000000", "3000000"), ("1000000", "100000")])
-def test_lift_dimension_overflow_exits_4_at_once(n, p):
+def test_lift_dimension_overflow_exits_4_at_once(n, p, child_env):
     # the dimension count stops at 2^63 - 1 instead of building C(n+p-1, p)
-    src = str(Path(sunmesh.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, time\n"
         "from sunmesh.cli import main\n"
@@ -607,14 +635,14 @@ def test_lift_dimension_overflow_exits_4_at_once(n, p):
         "print(code, time.perf_counter() - start)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=60
     )
     code, seconds = proc.stdout.split()
     assert code == "4" and float(seconds) < 1.0, proc.stdout
     assert "exceeds 64-bit integer range" in proc.stderr
 
 
-def test_console_script_entry_point():
+def test_console_script_entry_point(child_env):
     # the target pyproject.toml declares, run as an installed script would
     # run it; an installed `sunmesh` executable, if any, is run as well
     tomllib = pytest.importorskip("tomllib")
@@ -622,22 +650,19 @@ def test_console_script_entry_point():
     target = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["sunmesh"]
     assert target == "sunmesh.cli:main"
     module, _, name = target.partition(":")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     code = f"import sys\nfrom {module} import {name}\nsys.exit({name}())\n"
     argv = ["lift", "--n", "9", "--p", "5"]
     commands = [[sys.executable, "-c", code, *argv]]
     if shutil.which("sunmesh"):
         commands.append(["sunmesh", *argv])
     for command in commands:
-        proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+        proc = subprocess.run(command, capture_output=True, text=True, env=child_env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1287"
 
 
-def test_stdout_does_not_depend_on_blas_threads(tmp_path):
+def test_stdout_does_not_depend_on_blas_threads(tmp_path, child_env):
     # the same commands under one and under two BLAS threads print the same bytes
-    root = Path(__file__).resolve().parents[1]
     write_plan(tmp_path, triangle_decompose(random_unitary_qr(4, seed=11)), "plan.json")
     matrix = write_matrix(tmp_path, random_unitary_qr(4, seed=12))
     commands = [
@@ -646,16 +671,14 @@ def test_stdout_does_not_depend_on_blas_threads(tmp_path):
         ["decompose", matrix, "--canonical"],
         ["validate-haar", "--n", "4", "--samples", "2000"],
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     for argv in commands:
         outputs = []
         for threads in ("1", "2"):
-            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            child_env["OPENBLAS_NUM_THREADS"] = child_env["OMP_NUM_THREADS"] = threads
             proc = subprocess.run(
                 [sys.executable, "-m", "sunmesh.cli", *argv],
                 capture_output=True,
-                env=env,
+                env=child_env,
                 timeout=60,
             )
             assert proc.returncode == 0, proc.stderr

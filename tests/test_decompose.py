@@ -352,6 +352,38 @@ def test_loss_analysis_triangle_n3_by_hand():
     assert [r["mode"] for r in report] == [1, 2, 3]
 
 
+def loss_analysis_by_mode(plan, loss):
+    # the reference: one route search per input mode, in plain Python
+    report = []
+    for mode in range(1, plan.n + 1):
+        best, worst = [math.inf] * plan.n, [-math.inf] * plan.n
+        best[mode - 1] = worst[mode - 1] = 0
+        for c in reversed(plan.couplers):
+            p, q = c.i - 1, c.j - 1
+            best[p] = best[q] = min(best[p], best[q]) + 1
+            worst[p] = worst[q] = max(worst[p], worst[q]) + 1
+        b, w = min(best), max(worst)
+        report.append(
+            {
+                "mode": mode,
+                "best_couplers": b,
+                "worst_couplers": w,
+                "best_loss_db": b * loss,
+                "worst_loss_db": w * loss,
+            }
+        )
+    return report
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.2, 1 / 3])
+@pytest.mark.parametrize("n", [1, 2, 6, 11])
+def test_loss_analysis_matches_a_search_per_mode(n, loss):
+    # repr, so that every value has the same type, sign and digits
+    m = random_unitary_qr(n, seed=60 + n)
+    for plan in (canonicalize(triangle_decompose(m), m), reck_decompose(m), clements_decompose(m)):
+        assert repr(loss_analysis(plan, loss)) == repr(loss_analysis_by_mode(plan, loss))
+
+
 def test_loss_analysis_accepts_reck_plans():
     plan = reck_decompose(random_unitary_qr(4, seed=10))
     report = loss_analysis(plan, 1.0)

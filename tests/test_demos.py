@@ -1,11 +1,8 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import sunmesh
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -16,13 +13,10 @@ def test_demos_exist():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def test_demo_runs(demo, child_env):
     # each demo is a script against the public API; run it as a user would
-    src = str(Path(sunmesh.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, str(demo)], capture_output=True, text=True, env=child_env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

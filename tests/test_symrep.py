@@ -309,6 +309,17 @@ def test_lift_plan_of_clements_plan_matches_permanents():
     assert np.abs(lifted - lift_via_permanents(reconstruct(plan), 3)).max() < 1e-12
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e8, 1e12, 1e16, 1e100, 1e300])
+def test_lift_routes_agree_at_huge_angles(offset):
+    # both routes reduce each angle mod 4*pi and the phase mod 2*pi before
+    # any product, so they agree however large the angles are
+    plan = triangle_decompose(random_unitary_qr(3, seed=5))
+    couplers = [Coupler(c.i, c.j, EulerAngles(*(x + offset for x in c.angles))) for c in plan.couplers]
+    plan = MeshPlan(3, plan.global_phase + offset, tuple(couplers))
+    lifted = lift_plan(FockBasis(3, 2), plan)
+    assert np.abs(lifted - lift_via_permanents(reconstruct(plan), 2)).max() < 1e-13
+
+
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_lift_routes_agree(n, p):
     m, plan = canonical_plan(n, seed=10 * n + p)
