@@ -7,13 +7,10 @@ JSON interchange formats of :mod:`sunmesh.linalg` and :mod:`sunmesh.mesh`,
 so command outputs feed directly into other commands.
 
 Every JSON document carries a provenance header echoing the command name
-and the numerical settings (tol, seed) that produced it.  Exit codes:
-
-* 0 - success
-* 1 - I/O, parse or usage failure (unknown option, malformed value)
-* 2 - tolerance failure
-* 3 - validation failure (includes a failed statistical validation)
-* 4 - resource limit (dimension caps, permanent size, overflow)
+and the numerical settings (tol, seed) that produced it.  A failure exits
+with its exception's ``exit_code``, listed in :mod:`sunmesh.errors`; an
+``OverflowError`` or ``MemoryError`` exits as a ``ResourceError`` and any
+other ``OSError`` as a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -31,12 +28,6 @@ from .haar import HaarSpec, sample_coset, sample_haar, validate_haar
 from .linalg import matrix_from_json, matrix_to_json
 from .mesh import depth, parameter_count, plan_from_json, plan_to_json, reconstruct, render
 from .symrep import FockBasis, basis_dimension, lift_plan, lift_via_permanents
-
-_EXIT_OK = 0
-_EXIT_FORMAT = 1
-_EXIT_TOLERANCE = 2
-_EXIT_VALIDATION = 3
-_EXIT_RESOURCE = 4
 
 _EPILOG = """\
 exit codes:
@@ -57,7 +48,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter from deep nesting
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -105,14 +96,14 @@ def cmd_decompose(args) -> int:
         f"scheme={args.scheme} boxes={len(plan.couplers)} depth={depth(plan)} "
         f"parameters={parameter_count(plan)} residual={residual:.3e}"
     )
-    return _EXIT_OK if residual < args.tol else _EXIT_TOLERANCE
+    return 0 if residual < args.tol else ToleranceError.exit_code
 
 
 def cmd_reconstruct(args) -> int:
     plan = plan_from_json(_read_json(args.input))
     _emit(args, matrix_to_json(reconstruct(plan)))
     _note(f"n={plan.n} boxes={len(plan.couplers)} depth={depth(plan)}")
-    return _EXIT_OK
+    return 0
 
 
 def _compare_rows(m: np.ndarray, tol: float, loss_db: float) -> list[dict]:
@@ -155,7 +146,7 @@ def cmd_compare(args) -> int:
         _emit(args, "\n".join(lines))
     else:
         _emit(args, {"n": m.shape[0], "loss_db": args.loss_db, "schemes": rows})
-    return _EXIT_OK
+    return 0
 
 
 def cmd_sample_haar(args) -> int:
@@ -164,7 +155,7 @@ def cmd_sample_haar(args) -> int:
     spec = HaarSpec(args.n, seed=args.seed)
     plan = sample_coset(spec) if args.coset else sample_haar(spec)
     _emit(args, matrix_to_json(reconstruct(plan)) if args.emit == "matrix" else plan_to_json(plan))
-    return _EXIT_OK
+    return 0
 
 
 def cmd_validate_haar(args) -> int:
@@ -178,7 +169,7 @@ def cmd_validate_haar(args) -> int:
         beta_mode=args.beta_mode,
     )
     _emit(args, report)
-    return _EXIT_OK if report["passed"] else _EXIT_VALIDATION
+    return 0 if report["passed"] else ValidationError.exit_code
 
 
 def cmd_lift(args) -> int:
@@ -186,7 +177,7 @@ def cmd_lift(args) -> int:
         if args.n is None:
             raise ValidationError("lift needs an input document or --n")
         _emit(args, str(basis_dimension(args.n, args.p)))
-        return _EXIT_OK
+        return 0
     obj = _read_json(args.input)
     if isinstance(obj, dict) and "couplers" in obj:
         plan = plan_from_json(obj)
@@ -198,13 +189,13 @@ def cmd_lift(args) -> int:
         lifted = lift_via_permanents(m, args.p, tol=args.tol)
         n, route = m.shape[0], "permanents"
     _emit(args, matrix_to_json(lifted), n=n, p=args.p, dimension=lifted.shape[0], route=route)
-    return _EXIT_OK
+    return 0
 
 
 def cmd_render(args) -> int:
     plan = plan_from_json(_read_json(args.input))
     _emit(args, render(plan, format=args.format))
-    return _EXIT_OK
+    return 0
 
 
 def _tolerance(text: str) -> float:
@@ -295,16 +286,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # a non-finite result exits 3 in _emit
             return args.func(args)
-    except FormatError as exc:
-        return _fail(exc, _EXIT_FORMAT)
-    except ToleranceError as exc:
-        return _fail(exc, _EXIT_TOLERANCE)
-    except ValidationError as exc:
-        return _fail(exc, _EXIT_VALIDATION)
-    except (ResourceError, OverflowError, MemoryError) as exc:
-        return _fail(exc, _EXIT_RESOURCE)
+    except (FormatError, ToleranceError, ValidationError, ResourceError) as exc:
+        return _fail(exc, exc.exit_code)
+    except (OverflowError, MemoryError) as exc:
+        return _fail(exc, ResourceError.exit_code)
     except OSError as exc:
-        return _fail(exc, _EXIT_FORMAT)
+        return _fail(exc, FormatError.exit_code)
 
 
 if __name__ == "__main__":

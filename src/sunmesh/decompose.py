@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceError, ValidationError, check_int
-from .linalg import as_complex_matrix, is_unitary, project_to_su
+from .errors import ToleranceError, ValidationError, check_choice, check_int
+from .linalg import _unitary, project_to_su
 from .mesh import (
     ARITY_CONSTRAINED,
     ARITY_FULL,
@@ -75,18 +75,15 @@ def triangle_decompose(m, tol: float = 1e-10) -> MeshPlan:
     of each chain come out with ``gamma == alpha`` exactly, which is what
     :func:`canonicalize` later relies on.
     """
-    return _eliminate(m, tol, "triangle_decompose", adjacent=True)
+    return _eliminate(m, tol, adjacent=True)
 
 
-def _eliminate(m, tol: float, op: str, adjacent: bool) -> MeshPlan:
+def _eliminate(m, tol: float, adjacent: bool) -> MeshPlan:
     """Zero the SU(n) part of ``m`` column by column, bottom-up: row q of
     column k is rotated against row q-1 if ``adjacent``, else against row k.
     """
-    a = as_complex_matrix(m)
-    if not is_unitary(a, tol):
-        raise ValidationError(f"{op} requires a unitary matrix")
-    n = a.shape[0]
-    phi, w = project_to_su(a, tol)
+    phi, w = project_to_su(m, tol)
+    n = w.shape[0]
     couplers = []
     for k in range(n - 1):
         for q in range(n - 1, k, -1):
@@ -126,9 +123,7 @@ def canonicalize(
     residual only if neither path reaches ``10 * tol``, which happens when
     ``10 * tol`` is below the floating-point rounding of the rebuild.
     """
-    target = as_complex_matrix(m)
-    if not is_unitary(target, tol):
-        raise ValidationError("canonicalize requires a unitary reference matrix")
+    target = _unitary(m, tol)
     n = plan.n
     if target.shape[0] != n:
         raise ValidationError("plan and matrix dimensions disagree")
@@ -223,9 +218,7 @@ def clements_decompose(m, tol: float = 1e-10) -> MeshPlan:
     it uniform so it folds into the global phase.  The output therefore
     contains couplers only.
     """
-    a = as_complex_matrix(m)
-    if not is_unitary(a, tol):
-        raise ValidationError("clements_decompose requires a unitary matrix")
+    a = _unitary(m, tol)
     n = a.shape[0]
     w = a.copy()
     # [lower mode, angles] rows, 0-based; the couplers are built once at the end
@@ -290,7 +283,7 @@ def reck_decompose(m, tol: float = 1e-10) -> MeshPlan:
     nearest neighbours.  Useful only as a comparison point; the mesh
     operations that assume adjacency reject its output.
     """
-    return _eliminate(m, tol, "reck_decompose", adjacent=False)
+    return _eliminate(m, tol, adjacent=False)
 
 
 def generator_ledger(scheme: str, n: int) -> dict:
@@ -302,14 +295,12 @@ def generator_ledger(scheme: str, n: int) -> dict:
     all-pairs baseline.
     """
     check_int(n, "n", 2)
-    if scheme == "triangle":
+    if check_choice(scheme, "scheme", ("triangle", "reck")) == "triangle":
         offdiag = n - 1
         savings = (n - 1) * (n - 2) // 2
-    elif scheme == "reck":
+    else:
         offdiag = n * (n - 1) // 2
         savings = 0
-    else:
-        raise ValidationError(f"unknown scheme {scheme!r}")
     return {"offdiag_pairs": offdiag, "diagonal": n, "savings_vs_reck": savings}
 
 

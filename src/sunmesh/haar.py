@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kstest import ks_one_sample, ks_two_sample
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_choice, check_int
 from .linalg import _ginibre_qr, random_unitary_qr
 from .mesh import ARITY_CONSTRAINED, ARITY_FULL, Coupler, MeshPlan, _product, _triangle_pairs
 from .su2 import EulerAngles
@@ -222,10 +222,8 @@ def validate_haar(
     check_int(n, "n", 2)
     check_int(samples, "samples", 1000)
     check_int(seed, "seed", 0)
-    if source not in (SOURCE_MESH, SOURCE_QR):
-        raise ValidationError(f"unknown source {source!r}")
-    if beta_mode not in (BETA_MODE_RECURSIVE, BETA_MODE_UNIFORM):
-        raise ValidationError(f"unknown beta_mode {beta_mode!r}")
+    check_choice(source, "source", (SOURCE_MESH, SOURCE_QR))
+    check_choice(beta_mode, "beta_mode", (BETA_MODE_RECURSIVE, BETA_MODE_UNIFORM))
     if source == SOURCE_QR and beta_mode != BETA_MODE_RECURSIVE:
         raise ValidationError(f"source 'qr' has no beta_mode {beta_mode!r}; only 'recursive'")
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_int, finite_float
+from .errors import FormatError, ValidationError, check_int, finite_float, read_field
 
 __all__ = [
     "as_complex_matrix",
@@ -44,15 +44,22 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
     return float(np.linalg.norm(a.conj().T @ a - np.eye(n))) <= tol
 
 
+def _unitary(m, tol: float) -> np.ndarray:
+    """``m`` as a complex matrix, else :class:`ValidationError` if it is not
+    unitary within ``tol``."""
+    a = as_complex_matrix(m)
+    if not is_unitary(a, tol):
+        raise ValidationError(f"matrix is not unitary within tol {tol!r}")
+    return a
+
+
 def project_to_su(m, tol: float = 1e-10) -> tuple[float, np.ndarray]:
     """Split a unitary as ``m = exp(i*phi) * msu`` with ``det(msu) = 1``.
 
     Returns ``(phi, msu)`` where ``phi = Arg(det m) / n`` is the removed
     global phase per mode.  Input must be unitary within ``tol``.
     """
-    a = as_complex_matrix(m)
-    if not is_unitary(a, tol):
-        raise ValidationError("project_to_su requires a unitary matrix")
+    a = _unitary(m, tol)
     n = a.shape[0]
     phi = cmath.phase(np.linalg.det(a)) / n
     return phi, a * cmath.exp(-1j * phi)
@@ -93,16 +100,12 @@ def matrix_from_json(obj) -> np.ndarray:
     Raises :class:`FormatError` on any structural problem; numerical
     properties (such as unitarity) are deliberately not checked here.
     """
-    if not isinstance(obj, dict):
-        raise FormatError("matrix document must be a JSON object")
-    if "n" not in obj or "entries" not in obj:
-        raise FormatError("matrix document needs 'n' and 'entries' fields")
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise FormatError("'n' must be a positive integer")
-    entries = obj["entries"]
-    if not isinstance(entries, list) or len(entries) != n:
-        raise FormatError(f"'entries' must be a list of {n} rows")
+    n = read_field(obj, "n", "matrix", int)
+    if n < 1:
+        raise FormatError(f"matrix: 'n' must be >= 1, got {n}")
+    entries = read_field(obj, "entries", "matrix", list)
+    if len(entries) != n:
+        raise FormatError(f"matrix: 'entries' must be a list of {n} rows")
     out = np.empty((n, n), dtype=np.complex128)
     for r, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:

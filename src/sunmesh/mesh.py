@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_int, finite_float
+from .errors import ValidationError, check_choice, check_int, read_field
 from .su2 import EulerAngles, euler_from_su2, su2_from_euler
 
 __all__ = [
@@ -67,9 +67,7 @@ class Coupler:
             raise ValidationError("angles must be an EulerAngles instance")
         if not all(map(math.isfinite, self.angles)):
             raise ValidationError(f"coupler angles must be finite, got {tuple(self.angles)}")
-        if self.arity not in (ARITY_FULL, ARITY_CONSTRAINED):
-            raise ValidationError(f"unknown arity {self.arity!r}")
-        if self.arity == ARITY_CONSTRAINED:
+        if check_choice(self.arity, "arity", (ARITY_FULL, ARITY_CONSTRAINED)) == ARITY_CONSTRAINED:
             if abs(self.angles.gamma - self.angles.alpha) > _CONSTRAINED_TIE_TOL:
                 raise ValidationError(
                     "constrained2 coupler requires gamma == alpha, got "
@@ -194,9 +192,7 @@ def depth(plan: MeshPlan) -> int:
 def multiplicity(plan: MeshPlan, i: int) -> int:
     """How many couplers act on the adjacent pair ``(i, i+1)``."""
     _require_adjacent(plan, "multiplicity")
-    check_int(i, "i")
-    if not 1 <= i <= plan.n - 1:
-        raise ValidationError(f"pair index must be in 1..{plan.n - 1}, got {i}")
+    check_int(i, "i", 1, plan.n - 1)
     return sum(1 for c in plan.couplers if c.i == i)
 
 
@@ -235,11 +231,9 @@ def parameter_count(plan: MeshPlan) -> int:
 def render(plan: MeshPlan, format: str = "ascii") -> str:
     """Draw the mesh as text art or a standalone SVG document."""
     _require_adjacent(plan, "render")
-    if format == "ascii":
+    if check_choice(format, "render format", ("ascii", "svg")) == "ascii":
         return _render_ascii(plan)
-    if format == "svg":
-        return _render_svg(plan)
-    raise ValidationError(f"unknown render format {format!r}")
+    return _render_svg(plan)
 
 
 def _render_ascii(plan: MeshPlan) -> str:
@@ -334,12 +328,6 @@ def plan_to_json(plan: MeshPlan) -> dict:
     }
 
 
-def _field(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise FormatError(f"{where}: missing field {key!r}")
-    return obj[key]
-
-
 def plan_from_json(obj) -> MeshPlan:
     """Parse the interchange dict back into a validated plan.
 
@@ -347,31 +335,12 @@ def plan_from_json(obj) -> MeshPlan:
     pair, broken constrained2 tie) surface as :class:`ValidationError` from
     the dataclass constructors.
     """
-    if not isinstance(obj, dict):
-        raise FormatError("plan document must be a JSON object")
-    n = _field(obj, "n", "plan")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise FormatError("'n' must be an integer")
-    phase = finite_float(_field(obj, "global_phase", "plan"), "global_phase")
-    raw = _field(obj, "couplers", "plan")
-    if not isinstance(raw, list):
-        raise FormatError("'couplers' must be a list")
+    n = read_field(obj, "n", "plan", int)
+    phase = read_field(obj, "global_phase", "plan", float)
     couplers = []
-    for idx, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise FormatError(f"coupler {idx} must be an object")
+    for idx, entry in enumerate(read_field(obj, "couplers", "plan", list)):
         where = f"coupler {idx}"
-        i = _field(entry, "i", where)
-        j = _field(entry, "j", where)
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (i, j)):
-            raise FormatError(f"{where}: 'i' and 'j' must be integers")
-        angles = EulerAngles(
-            finite_float(_field(entry, "alpha", where), f"{where} alpha"),
-            finite_float(_field(entry, "beta", where), f"{where} beta"),
-            finite_float(_field(entry, "gamma", where), f"{where} gamma"),
-        )
-        arity = _field(entry, "arity", where)
-        if not isinstance(arity, str):
-            raise FormatError(f"{where}: 'arity' must be a string")
-        couplers.append(Coupler(i, j, angles, arity))
+        i, j = (read_field(entry, key, where, int) for key in ("i", "j"))
+        angles = (read_field(entry, key, where, float) for key in ("alpha", "beta", "gamma"))
+        couplers.append(Coupler(i, j, EulerAngles(*angles), read_field(entry, "arity", where, str)))
     return MeshPlan(n, phase, tuple(couplers))

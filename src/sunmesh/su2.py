@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import as_complex_matrix, is_unitary
+from .errors import ValidationError, check_choice
+from .linalg import _unitary
 
 __all__ = [
     "EulerAngles",
@@ -92,11 +92,9 @@ def euler_from_su2(u, tol: float = 1e-10) -> EulerAngles:
     degenerate (only alpha+gamma or alpha-gamma is determined); the
     convention here is to set gamma to 0 and put the whole phase in alpha.
     """
-    a = as_complex_matrix(u)
+    a = _unitary(u, tol)
     if a.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if not is_unitary(a, tol):
-        raise ValidationError("matrix is not unitary within tolerance")
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if abs(det - 1.0) > tol:
         raise ValidationError("matrix determinant is not 1 within tolerance")
@@ -151,14 +149,12 @@ def push_phase_through_coupler(
     lands in gamma instead.  In both cases ``mu = (theta_i + theta_j) / 2``.
     Returns the updated angles and ``mu``.
     """
-    if side == "left":
+    if check_choice(side, "side", ("left", "right")) == "left":
         new = EulerAngles(
             _wrap_phase(angles.alpha + theta_i - theta_j), angles.beta, angles.gamma
         )
-    elif side == "right":
+    else:
         new = EulerAngles(
             angles.alpha, angles.beta, _wrap_phase(angles.gamma + theta_i - theta_j)
         )
-    else:
-        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
     return new, 0.5 * (theta_i + theta_j)

@@ -29,7 +29,7 @@ import os
 import numpy as np
 
 from .errors import ResourceError, ValidationError, check_int
-from .linalg import as_complex_matrix, is_unitary
+from .linalg import _unitary, as_complex_matrix
 from .mesh import MeshPlan, _require_adjacent
 
 __all__ = [
@@ -57,9 +57,7 @@ def dimension_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise ValidationError(f"TRIMESH_DIM_CAP must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValidationError(f"TRIMESH_DIM_CAP must be positive, got {cap}")
-    return cap
+    return check_int(cap, "TRIMESH_DIM_CAP", 1)
 
 
 def basis_dimension(n: int, p: int) -> int:
@@ -157,9 +155,8 @@ def lifted_generator(basis: FockBasis, i: int, j: int) -> np.ndarray:
     conjugate transpose of the lift of C_ij.  The array takes 8 * dim^2
     bytes, 200 MB at the default cap.
     """
-    for name, k in (("i", i), ("j", j)):
-        if check_int(k, name, 1) > basis.n:
-            raise ValidationError(f"{name} must be in 1..{basis.n}, got {k}")
+    check_int(i, "i", 1, basis.n)
+    check_int(j, "j", 1, basis.n)
     occ = basis.occupations
     cols = np.flatnonzero(occ[:, j - 1])
     target = occ[cols]
@@ -437,9 +434,7 @@ def lift_via_permanents(u, p: int, tol: float = 1e-10) -> np.ndarray:
     :func:`lift_plan`.  The dimension cap is checked before any table is
     built, and p above 20 is refused.
     """
-    m = as_complex_matrix(u)
-    if not is_unitary(m, tol):
-        raise ValidationError("lift_via_permanents requires a unitary matrix")
+    m = _unitary(u, tol)
     check_int(p, "p", 0)
     if p > _PERMANENT_SIZE_CAP:
         raise ResourceError(f"photon number {p} exceeds permanent cap {_PERMANENT_SIZE_CAP}")

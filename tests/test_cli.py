@@ -549,6 +549,54 @@ def test_output_flag_writes_file(tmp_path, capsys, monkeypatch, argv):
     assert (tmp_path / "f").read_text(encoding="utf-8") == expected
 
 
+_HUGE = "1" + "0" * 400  # 10**400 written as a JSON integer, beyond the float range
+_EYE2 = '{"n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+_COUPLER = '{{"i": 1, "j": 2, "alpha": {}, "beta": 0.2, "gamma": 0.3, "arity": "full3"}}'
+
+
+def _plan_doc(n=2, phase="0.0", alpha="0.1", coupler=None):
+    coupler = coupler or _COUPLER.format(alpha)
+    return f'{{"n": {n}, "global_phase": {phase}, "couplers": [{coupler}]}}'
+
+
+def _matrix_doc(entry):
+    return f'{{"n": 1, "entries": [[[{entry}, 0]]]}}'
+
+
+# The input contract: each row is argv, the text of doc.json (None for no
+# file) and the exit code of that failure.  A number too large for a float
+# is a parse failure however it is written.
+@pytest.mark.parametrize(
+    "argv,doc,code",
+    [
+        pytest.param(["reconstruct", "doc.json"], _plan_doc(phase=_HUGE), 1, id="int-phase"),
+        pytest.param(["reconstruct", "doc.json"], _plan_doc(alpha=_HUGE), 1, id="int-alpha"),
+        pytest.param(["reconstruct", "doc.json"], _plan_doc(phase="1e400"), 1, id="1e400-phase"),
+        pytest.param(["reconstruct", "doc.json"], _plan_doc(alpha="-1e400"), 1, id="1e400-alpha"),
+        pytest.param(["decompose", "doc.json"], _matrix_doc(_HUGE), 1, id="int-entry"),
+        pytest.param(["decompose", "doc.json"], _matrix_doc("1e400"), 1, id="1e400-entry"),
+        pytest.param(["reconstruct", "doc.json"], "[]", 1, id="list-plan"),
+        pytest.param(["render", "doc.json"], _plan_doc(coupler="[1, 2]"), 1, id="list-coupler"),
+        pytest.param(["validate-haar"], None, 3, id="validate-haar-no-n"),
+        pytest.param(["lift"], None, 3, id="lift-no-input-no-n"),
+        pytest.param(["lift", "doc.json", "--p", "21"], _EYE2, 4, id="lift-p21"),
+        pytest.param(["lift", "doc.json", "--p", "-1"], _EYE2, 3, id="lift-p-negative"),
+        pytest.param(["decompose", "doc.json"], '{"n": 0, "entries": []}', 1, id="matrix-n0"),
+        pytest.param(["reconstruct", "doc.json"], _plan_doc(n=0), 3, id="plan-n0"),
+        pytest.param(["decompose", "doc.json"], _matrix_doc("1" * 5000), 1, id="5000-digit-entry"),
+        pytest.param(["reconstruct", "doc.json"], b'\xff{"n": 1}', 1, id="not-utf8"),
+    ],
+)
+def test_failures_keep_the_input_contract(tmp_path, capsys, monkeypatch, argv, doc, code):
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "doc.json").write_bytes(doc if isinstance(doc, bytes) else doc.encode())
+    got, out, err = run_cli(argv, capsys)
+    assert (got, out) == (code, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and line.removeprefix("error: ").strip()
+
+
 def test_cli_import_loads_no_scipy(child_env):
     # SciPy is imported only by the functions that use it, so start-up of
     # every subcommand stays free of scipy.stats and scipy.sparse; nothing

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sunmesh import (
     depth,
     embed_coupler,
     generator_ledger,
+    linalg,
     loss_analysis,
     multiplicity,
     parameter_count,
@@ -175,6 +177,8 @@ def test_canonicalize_rejects_wrong_order_and_nonunitary():
         canonicalize(backwards, m)
     with pytest.raises(ValidationError):
         canonicalize(plan, np.diag([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ValidationError):
+        canonicalize(plan, np.eye(3))  # a plan on 4 modes
 
 
 def test_recursive_view_su3():
@@ -220,6 +224,8 @@ def test_recursive_view_rejects_wrong_order():
     )
     with pytest.raises(ValidationError):
         recursive_view(plan)
+    with pytest.raises(ValidationError):
+        recursive_view(MeshPlan(3, 0.0, ()))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -414,3 +420,28 @@ def test_decompose_rejects_bad_tol(decompose, tol):
         decompose(np.eye(2), tol=tol)
     with pytest.raises(ValidationError, match="tol"):
         canonicalize(triangle_decompose(np.eye(2)), np.eye(2), tol)
+
+
+def test_each_decomposition_checks_unitarity_once(monkeypatch):
+    # every module's binding is counted, so a check through any import shows
+    calls = []
+    original = linalg.is_unitary
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "sunmesh" and getattr(module, "is_unitary", None) is original:
+            monkeypatch.setattr(module, "is_unitary", counting)
+    m = random_unitary_qr(4, seed=8)
+    cases = [
+        (triangle_decompose, 1),
+        (reck_decompose, 1),
+        (clements_decompose, 1),
+        (lambda m: canonicalize(triangle_decompose(m), m), 2),
+    ]
+    for decompose, expected in cases:
+        calls.clear()
+        decompose(m)
+        assert len(calls) == expected

@@ -145,6 +145,7 @@ def test_matrix_from_json_ignores_extra_keys():
         {"n": 1, "entries": [[["1", 0]]]},
         {"n": 1, "entries": [[[float("nan"), 0]]]},
         {"n": 1, "entries": [[[float("inf"), 0]]]},
+        {"n": 1, "entries": [[[10**400, 0]]]},
     ],
 )
 def test_matrix_from_json_rejects_malformed(doc):

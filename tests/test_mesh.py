@@ -69,6 +69,8 @@ def test_adjacency_flag():
 def test_plan_validates_pairs_fit():
     with pytest.raises(ValidationError):
         MeshPlan(3, 0.0, (full(3, 4, 0, 0, 0),))
+    with pytest.raises(ValidationError):
+        MeshPlan(3, 0.0, ((2, 3, EulerAngles(0, 0, 0)),))
 
 
 def test_coupler_matrix_matches_euler_matrix():
@@ -242,6 +244,12 @@ def test_render_ascii_layout():
     )
 
 
+def test_render_ascii_drops_blank_gap_rows():
+    # nothing spans modes 2 and 3, so no gap row is drawn between them
+    art = render(MeshPlan(3, 0.0, (full(1, 2, 0, 1, 0),)))
+    assert art.splitlines() == ["1 -+---+-", "   | 3 |", "2 -+---+-", "3 -------"]
+
+
 def test_render_ascii_mode_lines_have_equal_length():
     plan = MeshPlan(4, 0.0, tuple(full(i, i + 1, 0, 1, 0) for i in (3, 2, 1, 3, 2, 3)))
     lines = render(plan).splitlines()
@@ -303,6 +311,9 @@ def test_plan_from_json_ignores_extra_keys():
         lambda d: d.update(global_phase=float("inf")),
         lambda d: d["couplers"][0].update(i=1.5),
         lambda d: d["couplers"][0].update(arity=3),
+        lambda d: d.update(global_phase=10**400),
+        lambda d: d["couplers"][0].update(alpha=10**400),
+        lambda d: d["couplers"].append([1, 2]),
     ],
 )
 def test_plan_from_json_rejects_malformed(mutate):

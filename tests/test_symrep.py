@@ -386,9 +386,10 @@ def test_dimension_cap_is_enforced_and_overridable(monkeypatch):
         lift_plan(FockBasis(4, 4), plan)  # dim 35 > 30
     monkeypatch.setenv("TRIMESH_DIM_CAP", "35")
     lift_plan(FockBasis(4, 4), plan)
-    monkeypatch.setenv("TRIMESH_DIM_CAP", "bogus")
-    with pytest.raises(ValidationError):
-        lift_plan(FockBasis(4, 4), plan)
+    for bad in ("bogus", "0"):
+        monkeypatch.setenv("TRIMESH_DIM_CAP", bad)
+        with pytest.raises(ValidationError):
+            lift_plan(FockBasis(4, 4), plan)
 
 
 def test_fock_basis_checks_cap_before_enumerating(monkeypatch):
