@@ -75,15 +75,20 @@ def check_choice(value, name: str, choices):
     return value
 
 
+def _float(x) -> float:
+    """``float(x)``, with an int beyond the float range as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def finite_float(x, where: str) -> float:
     """Convert a non-bool real to a finite float, else raise
     :class:`FormatError` naming ``where``."""
     if isinstance(x, bool) or not isinstance(x, Real):
         raise FormatError(f"{where}: expected a number, got {type(x).__name__}")
-    try:
-        val = float(x)
-    except OverflowError:  # an int beyond the float range
-        val = math.inf
+    val = _float(x)
     if not math.isfinite(val):
         raise FormatError(f"{where}: value must be finite")
     return val

@@ -12,10 +12,12 @@ so plans are reproducible at the bit level from a counter-based stream.
 
 Every sampler draws its angles the same way, coupler by coupler in plan
 order: beta, alpha, then gamma for chain heads.  :func:`sample_unitaries`
-draws a whole slab per angle and multiplies the plans out with the batched
-coupler kernel of :mod:`sunmesh.mesh`; its fixed 1024-sample slabs are keyed
-by (seed, slab index), so a shorter run is a prefix of a longer one with the
-same seed.
+draws a whole slab per angle into one angle table and multiplies the plans
+out with the batched coupler kernel of :mod:`sunmesh.mesh`, one 128-sample
+block at a time; its fixed 1024-sample slabs are keyed by (seed, slab
+index), so the whole slabs of a shorter run are a prefix of a longer one
+with the same seed.  A partial last slab draws each angle for its own
+size, so its rows are not.
 :func:`validate_haar` compares any sampler variant against closed-form Haar
 laws and against an independently generated QR-based sample.  It reduces
 the same slabs one at a time, and computes its Kolmogorov-Smirnov p-values
@@ -101,35 +103,36 @@ BETA_MODE_UNIFORM = "uniform"
 
 
 def _draw_angles(n: int, rng, size, coset_only: bool, beta_mode: str):
-    """Mode pairs and angles, shape ``(m,)`` or ``(m, size)``, of a triangle
-    plan (or its first chain); head gamma is wrapped into (-2*pi, 2*pi].
+    """Mode pairs and the ``(3, m)`` or ``(3, m, size)`` table of alpha,
+    beta and gamma of a triangle plan (or its first chain); head gamma is
+    wrapped into (-2*pi, 2*pi].
     """
     pairs = _triangle_pairs(n)
     if coset_only:
         pairs = pairs[: n - 1]  # chain C_1
-    alphas, betas, gammas = [], [], []
-    for m, _ in pairs:
+    table = np.empty((3, len(pairs)) + (() if size is None else (size,)))
+    for t, (m, _) in enumerate(pairs):
         head = m == n - 1
         u = rng.random(size)
         if beta_mode == BETA_MODE_UNIFORM:
-            betas.append(math.pi * u)
+            table[1, t] = math.pi * u
         else:
-            betas.append(_beta_from_uniform(1 if head else n - m, u))
-        alphas.append(_TWO_PI * rng.random(size))
+            table[1, t] = _beta_from_uniform(1 if head else n - m, u)
+        table[0, t] = alpha = _TWO_PI * rng.random(size)
         if head:
             gamma = 2.0 * _TWO_PI * rng.random(size)
-            gammas.append(np.where(gamma > _TWO_PI, gamma - 2.0 * _TWO_PI, gamma))
+            table[2, t] = np.where(gamma > _TWO_PI, gamma - 2.0 * _TWO_PI, gamma)
         else:
-            gammas.append(alphas[-1])
-    return pairs, EulerAngles(np.array(alphas), np.array(betas), np.array(gammas))
+            table[2, t] = alpha
+    return pairs, table
 
 
 def _draw_plan(n: int, seed: int, coset_only: bool) -> MeshPlan:
     rng = np.random.Generator(np.random.Philox(seed))
-    pairs, angles = _draw_angles(n, rng, None, coset_only, BETA_MODE_RECURSIVE)
+    pairs, table = _draw_angles(n, rng, None, coset_only, BETA_MODE_RECURSIVE)
     couplers = tuple(
         Coupler(i, j, EulerAngles(*row), ARITY_FULL if i == n - 1 else ARITY_CONSTRAINED)
-        for (i, j), row in zip(pairs, np.array(tuple(angles)).T.tolist())
+        for (i, j), row in zip(pairs, table.T.tolist())
     )
     return MeshPlan(n, 0.0, couplers)
 
@@ -162,8 +165,8 @@ def _slab_rng(seed: int, chunk: int):
 
 def _chunk_unitaries(n: int, seed: int, chunk: int, size: int, beta_mode: str) -> np.ndarray:
     """One slab of group samples."""
-    pairs, angles = _draw_angles(n, _slab_rng(seed, chunk), size, False, beta_mode)
-    return np.moveaxis(_product(n, pairs, angles), -1, 0)
+    pairs, table = _draw_angles(n, _slab_rng(seed, chunk), size, False, beta_mode)
+    return np.moveaxis(_product(n, pairs, table), -1, 0)
 
 
 def _slabs(count: int):

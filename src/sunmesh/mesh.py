@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_choice, check_int, read_field
+from .errors import ValidationError, _float, check_choice, check_int, read_field
 from .su2 import EulerAngles, euler_from_su2, su2_from_euler
 
 __all__ = [
@@ -65,8 +65,13 @@ class Coupler:
             raise ValidationError(f"need 1 <= i < j, got ({self.i}, {self.j})")
         if not isinstance(self.angles, EulerAngles):
             raise ValidationError("angles must be an EulerAngles instance")
-        if not all(map(math.isfinite, self.angles)):
-            raise ValidationError(f"coupler angles must be finite, got {tuple(self.angles)}")
+        try:
+            finite = all(map(math.isfinite, self.angles))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            shown = tuple(map(_float, self.angles))
+            raise ValidationError(f"coupler angles must be finite, got {shown}")
         if check_choice(self.arity, "arity", (ARITY_FULL, ARITY_CONSTRAINED)) == ARITY_CONSTRAINED:
             if abs(self.angles.gamma - self.angles.alpha) > _CONSTRAINED_TIE_TOL:
                 raise ValidationError(
@@ -89,7 +94,7 @@ class MeshPlan:
 
     def __post_init__(self):
         check_int(self.n, "n", 1)
-        object.__setattr__(self, "global_phase", float(self.global_phase))
+        object.__setattr__(self, "global_phase", _float(self.global_phase))
         if not math.isfinite(self.global_phase):
             raise ValidationError(f"global_phase must be finite, got {self.global_phase}")
         object.__setattr__(self, "couplers", tuple(self.couplers))
@@ -132,34 +137,51 @@ def reconstruct(plan: MeshPlan) -> np.ndarray:
 
     All coupler matrices are built in one call and applied right to left
     as one vectorized two-row update per greedy layer (see :func:`depth`),
-    so the cost is O(m * n) arithmetic in O(depth) Python steps.
+    so the cost is O(m * n) arithmetic in O(depth) Python steps per block
+    of :func:`_product`; a plan has no batch axis, so it is one block.
     """
     table = np.array([tuple(c.angles) for c in plan.couplers], dtype=float).reshape(-1, 3)
-    u = _product(plan.n, _pairs(plan), EulerAngles(*table.T))
+    u = _product(plan.n, _pairs(plan), table.T)
     return cmath.exp(1j * math.fmod(plan.global_phase, 2.0 * math.pi)) * u
 
 
-def _product(n: int, pairs: list[tuple[int, int]], angles: EulerAngles) -> np.ndarray:
+_BLOCK = 128
+
+
+def _product(n: int, pairs: list[tuple[int, int]], angles: np.ndarray) -> np.ndarray:
     """The ordered product B_1 @ ... @ B_m of couplers on 1-based ``pairs``.
 
-    ``angles`` holds arrays of shape ``(m, *batch)``; the result has shape
-    ``(n, n, *batch)``.  Sorting by greedy layer only swaps couplers on
-    disjoint modes, which commute, and within a layer no row repeats.
+    ``angles`` is the ``(3, m)`` or ``(3, m, batch)`` table of alpha, beta
+    and gamma; the result has shape ``(n, n)`` or ``(n, n, batch)``.  The
+    batch is multiplied out ``_BLOCK`` samples at a time, each block with
+    its own coupler matrices and O(depth) Python steps, so the coupler
+    matrices and the layer temporaries never span the whole batch.  Each
+    sample's arithmetic is elementwise, so the blocking does not change a
+    bit.  Sorting by greedy layer only swaps couplers on disjoint modes,
+    which commute, and within a layer no row repeats.
     """
     layers = np.array(_layer_assignment(n, pairs), dtype=np.intp)
     order = np.argsort(layers, kind="stable")
-    # In layer order: k[a, b, t] is entry (a, b) of coupler t, with a unit
-    # axis that broadcasts over the n columns; rows[:, t] are its two rows.
-    k = su2_from_euler(angles)[:, :, order, None]
     rows = (np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1)[order].T
     # Layer L is the slice bounds[L-1]:bounds[L] of that order.
     bounds = np.searchsorted(layers[order], np.arange(1, layers.max(initial=0) + 2)).tolist()
-    out = np.zeros((n, n) + k.shape[4:], dtype=np.complex128)
+    steps = list(zip(bounds, bounds[1:]))[::-1]
+    out = np.zeros((n, n) + angles.shape[2:], dtype=np.complex128)
     out[np.arange(n), np.arange(n)] = 1.0
-    for s, e in reversed(list(zip(bounds, bounds[1:]))):
-        r = rows[:, s:e]
-        u, v = out[r]
-        out[r] = k[:, 0, s:e] * u + k[:, 1, s:e] * v
+    if out.ndim == 2:
+        blocks = [()]
+    else:
+        blocks = [(slice(lo, lo + _BLOCK),) for lo in range(0, out.shape[2], _BLOCK)]
+    for block in blocks:
+        # In layer order: k[a, b, t] is entry (a, b) of coupler t, with a
+        # unit axis that broadcasts over the n columns; rows[:, t] are its
+        # two rows.
+        k = su2_from_euler(EulerAngles(*angles[(slice(None), order) + block]))[:, :, :, None]
+        part = out[(slice(None), slice(None)) + block]
+        for s, e in steps:
+            r = rows[:, s:e]
+            u, v = part[r]
+            part[r] = k[:, 0, s:e] * u + k[:, 1, s:e] * v
     return out
 
 

@@ -198,6 +198,50 @@ def test_sample_unitaries_chunks_are_stable_under_count_growth():
     assert np.array_equal(a, b[:1024])
 
 
+def test_sample_unitaries_slab_prefix_crosses_block_edges():
+    # whole slabs are prefixes, and each spans eight 128-sample product
+    # blocks; a partial last slab draws each angle for its own size, so only
+    # whole slabs carry over
+    a = sample_unitaries(5, 1025, seed=4)
+    b = sample_unitaries(5, 2049, seed=4)
+    assert np.array_equal(a[:1024], b[:1024])
+    assert np.array_equal(sample_unitaries(5, 2048, seed=4), b[:2048])
+
+
+# SHA-256 of the raw sampler bytes at fixed seeds, so a change to the draw or
+# the batched product that moves any bit shows (NumPy 2.4.6 on x86-64)
+SAMPLER_SHA256 = {
+    (5, 2049, 7): "d8cff27df37aaecb715766782c54149cd86e986d0ce2118fe27a25a8e812dff0",
+    (16, 1100, 3): "c02fc819138c2440e7cc570b0d3ec608c1e745074058832ad741b32bb7d103e2",
+}
+
+
+@pytest.mark.parametrize("n, count, seed", list(SAMPLER_SHA256))
+def test_sample_unitaries_bytes_are_pinned(n, count, seed):
+    import hashlib
+
+    digest = hashlib.sha256(sample_unitaries(n, count, seed=seed).tobytes()).hexdigest()
+    assert digest == SAMPLER_SHA256[n, count, seed]
+
+
+def test_slab_memory_is_bounded_per_entry():
+    import tracemalloc
+
+    from sunmesh import haar
+
+    n, size = 16, 1024
+    haar._chunk_unitaries(n, 1, 0, size, "recursive")
+    tracemalloc.start()
+    try:
+        haar._chunk_unitaries(n, 1, 0, size, "recursive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result alone is 16 bytes per entry; the angle table adds about 12,
+    # and one block's coupler matrices and layer temporaries the rest
+    assert peak / (size * n * n) <= 64
+
+
 def test_sample_unitaries_validation():
     with pytest.raises(ValidationError):
         sample_unitaries(1, 10)

@@ -52,6 +52,12 @@ def test_coupler_validation():
                 Coupler(1, 2, EulerAngles(*angles))
         with pytest.raises(ValidationError):
             MeshPlan(2, bad, ())
+    # an int beyond the float range is not finite either
+    for big in (10**400, -(10**400)):
+        with pytest.raises(ValidationError, match="^coupler angles must be finite"):
+            Coupler(1, 2, EulerAngles(big, 0.0, 0.0))
+        with pytest.raises(ValidationError, match="^global_phase must be finite"):
+            MeshPlan(2, big, ())
 
 
 def test_constrained_coupler_requires_equal_phases():
@@ -139,6 +145,23 @@ def test_reconstruct_equals_ordered_product_of_embedded_couplers(n, scheme):
         want = want @ embed_coupler(n, c)
     want = cmath.exp(1j * plan.global_phase) * want
     assert np.max(np.abs(reconstruct(plan) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("pairs_of", ["triangle", "random_spans"])
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_blocked_product_is_bit_identical_to_per_sample_products(n, pairs_of):
+    from sunmesh.mesh import _BLOCK, _pairs, _product, _triangle_pairs
+
+    if pairs_of == "triangle":
+        pairs = _triangle_pairs(n)
+    else:
+        pairs = _pairs(_random_span_plan(n, seed=n))
+    table = np.random.default_rng(n).uniform(-7.0, 7.0, (3, len(pairs), 1024))
+    want = np.stack([_product(n, pairs, table[:, :, s]) for s in range(1024)], axis=-1)
+    for size in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1024):
+        got = _product(n, pairs, table[:, :, :size])
+        assert got.shape == (n, n, size)
+        assert np.array_equal(got, want[:, :, :size]), size
 
 
 def test_depth_single_coupler():
