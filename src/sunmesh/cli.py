@@ -11,11 +11,21 @@ and the numerical settings (tol, seed) that produced it.  A failure exits
 with its exception's ``exit_code``, listed in :mod:`sunmesh.errors`; an
 ``OverflowError`` or ``MemoryError`` exits as a ``ResourceError`` and any
 other ``OSError`` as a ``FormatError``.
+
+Run as a program (``python -m sunmesh.cli``, or the ``sunmesh`` script,
+both ``main()`` with no argv), :func:`main` first calls :func:`gc.freeze`.
+The objects that importing NumPy and sunmesh left on the heap then sit
+outside the collector, so neither a collection during the command nor the
+one at interpreter exit walks them.  A pipeline stage's output ends only
+when its process exits, so that exit is on every pipeline's critical path.
+Objects the command makes are collected as before; ``main(argv)``, the
+in-process call, never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -282,6 +292,8 @@ def _fail(exc: BaseException, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # run as a program, whose import heap lives until exit
+        gc.freeze()
     try:
         args = _build_parser().parse_args(argv)
         with np.errstate(all="ignore"):  # a non-finite result exits 3 in _emit
@@ -295,4 +307,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(argv=sys.argv[1:]))
+    sys.exit(main())

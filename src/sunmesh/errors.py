@@ -75,8 +75,12 @@ def check_choice(value, name: str, choices):
     return value
 
 
-def _float(x) -> float:
-    """``float(x)``, with an int beyond the float range as +-inf."""
+def real_float(x, where: str, error: type = FormatError) -> float:
+    """``float(x)`` of a non-bool real ``x``, with an int beyond the float
+    range as +-inf; anything else raises ``error`` naming ``where``."""
+    # a float, NumPy's float64 too, skips the slower check against Real
+    if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, Real)):
+        raise error(f"{where}: expected a number, got {type(x).__name__}")
     try:
         return float(x)
     except OverflowError:
@@ -86,9 +90,7 @@ def _float(x) -> float:
 def finite_float(x, where: str) -> float:
     """Convert a non-bool real to a finite float, else raise
     :class:`FormatError` naming ``where``."""
-    if isinstance(x, bool) or not isinstance(x, Real):
-        raise FormatError(f"{where}: expected a number, got {type(x).__name__}")
-    val = _float(x)
+    val = real_float(x, where)
     if not math.isfinite(val):
         raise FormatError(f"{where}: value must be finite")
     return val

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _float, check_choice, check_int, read_field
+from .errors import ValidationError, check_choice, check_int, read_field, real_float
 from .su2 import EulerAngles, euler_from_su2, su2_from_euler
 
 __all__ = [
@@ -65,13 +65,14 @@ class Coupler:
             raise ValidationError(f"need 1 <= i < j, got ({self.i}, {self.j})")
         if not isinstance(self.angles, EulerAngles):
             raise ValidationError("angles must be an EulerAngles instance")
-        try:
-            finite = all(map(math.isfinite, self.angles))
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            shown = tuple(map(_float, self.angles))
-            raise ValidationError(f"coupler angles must be finite, got {shown}")
+        a, where = self.angles, "coupler angles"
+        angles = (
+            real_float(a.alpha, where, ValidationError),
+            real_float(a.beta, where, ValidationError),
+            real_float(a.gamma, where, ValidationError),
+        )
+        if not all(map(math.isfinite, angles)):
+            raise ValidationError(f"coupler angles must be finite, got {angles}")
         if check_choice(self.arity, "arity", (ARITY_FULL, ARITY_CONSTRAINED)) == ARITY_CONSTRAINED:
             if abs(self.angles.gamma - self.angles.alpha) > _CONSTRAINED_TIE_TOL:
                 raise ValidationError(
@@ -94,7 +95,8 @@ class MeshPlan:
 
     def __post_init__(self):
         check_int(self.n, "n", 1)
-        object.__setattr__(self, "global_phase", _float(self.global_phase))
+        phase = real_float(self.global_phase, "global_phase", ValidationError)
+        object.__setattr__(self, "global_phase", phase)
         if not math.isfinite(self.global_phase):
             raise ValidationError(f"global_phase must be finite, got {self.global_phase}")
         object.__setattr__(self, "couplers", tuple(self.couplers))

@@ -597,6 +597,84 @@ def test_failures_keep_the_input_contract(tmp_path, capsys, monkeypatch, argv, d
     assert line.startswith("error: ") and line.removeprefix("error: ").strip()
 
 
+_NONUNITARY = '{"n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}'
+# Address space of each contract child.  A one-thread NumPy start-up maps
+# about 100 MiB, so this leaves room to start and none to run away in.
+_CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+
+# The input contract in child processes: each row is argv, the text given
+# as doc.json and on stdin, and the exit code.  `python -m sunmesh.cli` is
+# the program path, the one that freezes its import heap.
+@pytest.mark.parametrize(
+    "argv,doc,code",
+    [
+        pytest.param(["decompose", "-"], '{"n": 2,', 1, id="malformed-json"),
+        pytest.param(["decompose", "doc.json"], _NONUNITARY, 3, id="non-unitary"),
+        pytest.param(["lift", "doc.json", "--p", "21"], _EYE2, 4, id="lift-p21"),
+        pytest.param(["lift", "--n", str(10**30), "--p", "2"], "", 4, id="lift-n-1e30"),
+    ],
+)
+def test_child_processes_keep_the_input_contract(tmp_path, child_env, argv, doc, code):
+    pytest.importorskip("resource")
+    (tmp_path / "doc.json").write_text(doc)
+    child_env["OPENBLAS_NUM_THREADS"] = child_env["OMP_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sunmesh.cli", *argv],
+        input=doc,
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and line.removeprefix("error: ").strip()
+
+
+def test_only_the_program_freezes_its_import_heap(capsys, monkeypatch):
+    # main() with no argv runs as the program and freezes the heap it was
+    # imported into, once; main(argv) is an in-process call and never does
+    calls = []
+    monkeypatch.setattr("gc.freeze", lambda: calls.append(None))
+    monkeypatch.setattr("sys.argv", ["sunmesh", "lift", "--n", "9", "--p", "5"])
+    assert main() == 0
+    assert len(calls) == 1
+    assert main(["lift", "--n", "9", "--p", "5"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == "1287\n1287\n"
+
+
+def test_two_process_pipe_prints_the_in_process_bytes(capsys, monkeypatch, child_env):
+    sample = ["sample-haar", "--n", "6", "--seed", "4"]
+    program = [sys.executable, "-m", "sunmesh.cli"]
+    upstream = subprocess.Popen([*program, *sample], stdout=subprocess.PIPE, env=child_env)
+    try:
+        downstream = subprocess.run(
+            [*program, "render", "-"],
+            stdin=upstream.stdout,
+            capture_output=True,
+            env=child_env,
+            timeout=60,
+        )
+    finally:
+        upstream.stdout.close()
+        assert upstream.wait(timeout=60) == 0
+    assert downstream.returncode == 0, downstream.stderr
+    assert main(sample) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["render", "-"]) == 0
+    assert downstream.stdout == capsys.readouterr().out.encode()
+
+
 def test_cli_import_loads_no_scipy(child_env):
     # SciPy is imported only by the functions that use it, so start-up of
     # every subcommand stays free of scipy.stats and scipy.sparse; nothing

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ def test_coupler_validation():
             Coupler(1, 2, EulerAngles(big, 0.0, 0.0))
         with pytest.raises(ValidationError, match="^global_phase must be finite"):
             MeshPlan(2, big, ())
+    # bools and non-reals are not angles, whatever float() makes of them
+    for bad in ("0.5", True, False, None, 1j, np.bool_(True)):
+        for angles in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValidationError, match="^coupler angles: expected a number"):
+                Coupler(1, 2, EulerAngles(*angles))
+        with pytest.raises(ValidationError, match="^global_phase: expected a number"):
+            MeshPlan(2, bad, ())
+    # every real is still an angle, held as given; the phase becomes a float
+    for good in (1, np.float32(0.25), np.int64(-3), Fraction(1, 3)):
+        assert Coupler(1, 2, EulerAngles(good, 0.0, good)).angles.alpha == good
+        phase = MeshPlan(2, good, ()).global_phase
+        assert type(phase) is float and phase == float(good)
 
 
 def test_constrained_coupler_requires_equal_phases():
