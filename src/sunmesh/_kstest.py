@@ -14,11 +14,9 @@ distribution", J. Stat. Softw. 39(11) (2011), for N > 140:
 
 The one-sided tail is the exact Birnbaum-Tingey sum up to N = 10^6, each
 term a binomial probability in Loader's saddle-point form, and the
-asymptotic exp(-(6 N d + 1)^2 / (18 N)) above.  The equal-size two-sample
-test counts lattice paths exactly up to 10000 points per side and uses the
-one-sample law at round(n/2) above.  These are the methods and thresholds of SciPy's
-``kstwo.sf`` and ``ks_2samp(method="auto")``, which the tests use as the
-oracle.  Smaller samples, which need other methods, are refused.
+asymptotic exp(-(6 N d + 1)^2 / (18 N)) above.  These are the methods and
+thresholds of SciPy's ``kstwo.sf``, which the tests use as the oracle.
+Smaller samples, which need other methods, are refused.
 """
 
 from __future__ import annotations
@@ -206,39 +204,3 @@ def ks_one_sample(sample, cdf) -> tuple[float, float]:
         d_minus = max(d_minus, float(np.max(c - rank / n)))
     d = d_plus if d_plus > d_minus else d_minus
     return d, kstwo_sf(d, n)
-
-
-def _prob_outside_square(n: int, h: int) -> float:
-    """P(D_{n,n} >= h/n) = 2 sum_k (-1)^k C(2n, n - (k+1)h) / C(2n, n), as
-    2 A_0 (1 - A_1 (1 - A_2 (...))) with A_k = C(2n, n-(k+1)h) / C(2n, n-kh)."""
-    k = np.arange(n // h + 1)[:, None]
-    j = np.arange(h)
-    ratios = np.prod(np.maximum(n - k * h - j, 0) / (n + k * h + j + 1.0), axis=1)
-    p = 0.0
-    for a in ratios[::-1].tolist():
-        p = a * (1.0 - p)
-    return 2.0 * p
-
-
-def ks_two_sample(first, second) -> tuple[float, float]:
-    """Two-sided statistic sup |F_n - G_n| of two samples of equal size
-    n > 140, and its p-value: exact up to n = 10000, the one-sample law at
-    round(n/2) above."""
-    x = np.sort(np.asarray(first, dtype=float))
-    y = np.sort(np.asarray(second, dtype=float))
-    n = x.size
-    if y.size != n:
-        raise ValueError(f"the two samples must have equal sizes, got {n} and {y.size}")
-    _check_size(n)
-    d_max, low = -math.inf, math.inf
-    for points in (x, y):  # the empirical CDFs differ most at a sample point
-        for start in range(0, n, _CHUNK):
-            at = points[start : start + _CHUNK]
-            diff = np.searchsorted(x, at, "right") / n - np.searchsorted(y, at, "right") / n
-            d_max, low = max(d_max, float(np.max(diff))), min(low, float(np.min(diff)))
-    d_min = _clip(-low)
-    d = d_min if d_min > d_max else d_max
-    if n > 10_000:
-        return d, kstwo_sf(d, round(n / 2))
-    h = round(d * n)
-    return h / n, (1.0 if h == 0 else _clip(_prob_outside_square(n, h)))

@@ -18,11 +18,13 @@ block at a time; its fixed 1024-sample slabs are keyed by (seed, slab
 index), so the whole slabs of a shorter run are a prefix of a longer one
 with the same seed.  A partial last slab draws each angle for its own
 size, so its rows are not.
-:func:`validate_haar` compares any sampler variant against closed-form Haar
-laws and against an independently generated QR-based sample.  It reduces
-the same slabs one at a time, and computes its Kolmogorov-Smirnov p-values
-exactly in NumPy (:mod:`sunmesh._kstest`), choosing the method as Simard
-and L'Ecuyer do (J. Stat. Softw. 39(11), 2011), so it needs no SciPy.
+:func:`validate_haar` tests the mesh sampler, a flat-beta variant of it or
+an independent QR-based sampler against closed-form Haar laws.  Left
+invariance is one of them: V U is Haar for a fixed V, so |(V U)_11|^2 has
+the law of |U_11|^2.  It reduces the same slabs one at a time, and computes
+its one-sample Kolmogorov-Smirnov p-values exactly in NumPy
+(:mod:`sunmesh._kstest`), choosing the method as Simard and L'Ecuyer do
+(J. Stat. Softw. 39(11), 2011), so it needs no SciPy.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kstest import ks_one_sample, ks_two_sample
+from ._kstest import ks_one_sample
 from .errors import ValidationError, check_choice, check_int
 from .linalg import _ginibre_qr, random_unitary_qr
 from .mesh import ARITY_CONSTRAINED, ARITY_FULL, Coupler, MeshPlan, _product, _triangle_pairs
@@ -40,7 +42,6 @@ from .su2 import EulerAngles
 
 __all__ = [
     "HaarSpec",
-    "beta_density",
     "sample_beta",
     "sample_haar",
     "sample_coset",
@@ -62,20 +63,6 @@ class HaarSpec:
     def __post_init__(self):
         check_int(self.n, "n", 2)
         check_int(self.seed, "seed", 0)
-
-
-def beta_density(level: int, beta):
-    """Unnormalized level-k middle-angle density sin(b) * sin(b/2)^(2k-2).
-
-    Level 1 is the plain SU(2) factor sin(beta).  Accepts scalars or
-    arrays; any value outside [0, pi] is an error.
-    """
-    check_int(level, "level", 1)
-    b = np.asarray(beta, dtype=float)
-    if not np.all((b >= 0.0) & (b <= math.pi)):  # NaN fails both tests
-        raise ValidationError("beta must lie in [0, pi]")
-    out = np.sin(b) * np.sin(0.5 * b) ** (2 * (level - 1))
-    return float(out) if np.ndim(beta) == 0 else out
 
 
 def sample_beta(level: int, u):
@@ -207,8 +194,11 @@ def validate_haar(
     E|U_ij|^2 = 1/n, whose largest z-score ``max_sigma`` over the n^2
     entries gives the Bonferroni p-value min(1, n^2 erfc(max_sigma/sqrt 2));
     a KS test of |U_11|^2 against the law P(|U_11|^2 > s) = (1-s)^(n-1);
-    and left invariance, comparing |(V U)_11|^2 against |U_11|^2 for a
-    fixed random V.  The ``source`` selects the mesh sampler or the
+    and left invariance, the same one-sample test of |(V U)_11|^2 for a
+    fixed random V: V U is Haar when U is, so it has the same law.  A
+    sampler can pass the first test and fail this one, when it gives
+    |U_11| the right law but spreads the rest of the first column
+    unevenly.  The ``source`` selects the mesh sampler or the
     independent QR oracle.  ``beta_mode="uniform"`` replaces the mesh
     sampler's middle-angle law with a flat one, as a negative control; the
     oracle has no middle-angle law, so it takes only the default
@@ -216,11 +206,9 @@ def validate_haar(
 
     The draws are made and reduced one 1024-sample slab at a time, keeping
     only per-entry sums and sums of squares and the two vectors of
-    |U_11|^2 and |(V U)_11|^2; the sums are added in slab order.  The
-    p-values are exact: the one-sample law P(D_N >= d) by the method choice
-    of Simard and L'Ecuyer (J. Stat. Softw. 39(11), 2011), and the
-    two-sample one by lattice-path counting up to 10000 samples and by that
-    law at N = round(samples/2) above (see :mod:`sunmesh._kstest`).
+    |U_11|^2 and |(V U)_11|^2; the sums are added in slab order.  Both
+    KS p-values are exact: :mod:`sunmesh._kstest` computes P(D_N >= d) by
+    the method choice of Simard and L'Ecuyer (J. Stat. Softw. 39(11), 2011).
     """
     check_int(n, "n", 2)
     check_int(samples, "samples", 1000)
@@ -257,10 +245,13 @@ def validate_haar(
         "passed": bool(pvalue > _SIGNIFICANCE),
     }
 
-    stat, pvalue = ks_one_sample(s11, lambda s: 1.0 - (1.0 - s) ** (n - 1))
+    def law(s):  # P(|U_11|^2 <= s), which |(V U)_11|^2 shares since V U is Haar too
+        return 1.0 - (1.0 - s) ** (n - 1)
+
+    stat, pvalue = ks_one_sample(s11, law)
     ks = {"stat": stat, "pvalue": pvalue, "passed": bool(pvalue > _SIGNIFICANCE)}
 
-    stat, pvalue = ks_two_sample(w11, s11)
+    stat, pvalue = ks_one_sample(w11, law)
     invariance = {"stat": stat, "pvalue": pvalue, "passed": bool(pvalue > _SIGNIFICANCE)}
 
     return {

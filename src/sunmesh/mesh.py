@@ -51,7 +51,10 @@ _CONSTRAINED_TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Coupler:
-    """One embedded 2x2 rotation acting on the mode pair ``(i, j)``."""
+    """One embedded 2x2 rotation acting on the mode pair ``(i, j)``.
+
+    Any real angles are accepted and stored as Python floats.
+    """
 
     i: int
     j: int
@@ -73,6 +76,7 @@ class Coupler:
         )
         if not all(map(math.isfinite, angles)):
             raise ValidationError(f"coupler angles must be finite, got {angles}")
+        object.__setattr__(self, "angles", EulerAngles(*angles))
         if check_choice(self.arity, "arity", (ARITY_FULL, ARITY_CONSTRAINED)) == ARITY_CONSTRAINED:
             if abs(self.angles.gamma - self.angles.alpha) > _CONSTRAINED_TIE_TOL:
                 raise ValidationError(

@@ -230,15 +230,15 @@ STDOUT_SHA256 = {
     (
         "validate-haar",
         "--n", "3", "--seed", "4",
-    ): "0bf528df2d2e66a6d7906ce1475856d02ebe6f83ad180d7853434e2b05f457af",
+    ): "4788a86189d6b16daff8f119c9457881ff6fdc9fec2e78c33a265cd095b15b9a",
     (
         "validate-haar",
         "--n", "3", "--seed", "4", "--beta-mode", "uniform",
-    ): "ac4f3624ec3f359e75a15aa11caf54e589b4a9d22828eeade13113f49f9d4221",
+    ): "adf1d6e037f7fbb069e7ac98c6941fabb48493e9075679f245aefe81f26bda71",
     (
         "validate-haar",
         "--n", "3", "--seed", "4", "--source", "qr", "--samples", "6000",
-    ): "1d2510d265b3c6f3a5777be03b5ed79c70fb95bea8bb725c2bece9d03e0a2dfe",
+    ): "d50c20bed36033703d3283042c78fb04801f678f6f80c8d4c3f03e11d4c30d71",
     (
         "decompose", "m.json", "--scheme", "clements",
     ): "e1d7d761c114d05ea45a9de11a4d47fd36e77d9d44855d528b2ae205601bc4dd",

@@ -11,9 +11,9 @@ from sunmesh import (
     HaarSpec,
     MeshPlan,
     ValidationError,
-    beta_density,
     is_unitary,
     parameter_count,
+    random_unitary_qr,
     reconstruct,
     sample_beta,
     sample_coset,
@@ -28,36 +28,6 @@ def test_haar_spec_validation():
         HaarSpec(1)
     with pytest.raises(ValidationError):
         HaarSpec(3, seed=-1)
-
-
-def test_beta_density_level_one_is_sine():
-    grid = np.linspace(0.0, math.pi, 7)
-    assert np.allclose(beta_density(1, grid), np.sin(grid), atol=1e-15)
-
-
-def test_beta_density_known_value():
-    # level 2 at pi/2: sin(pi/2) * sin(pi/4)^2 = 1/2
-    assert abs(beta_density(2, math.pi / 2) - 0.5) < 1e-15
-
-
-def test_beta_density_higher_levels_concentrate_toward_pi():
-    grid = np.linspace(0.0, math.pi, 201)
-    for level in (2, 3, 4):
-        peak = grid[np.argmax(beta_density(level, grid))]
-        assert abs(peak - math.acos(-(level - 1) / level)) < 0.02
-
-
-def test_beta_density_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        beta_density(2, -0.1)
-    with pytest.raises(ValidationError):
-        beta_density(2, math.pi + 0.1)
-    with pytest.raises(ValidationError):
-        beta_density(2, math.nan)
-    with pytest.raises(ValidationError):
-        beta_density(2, np.array([0.5, math.nan]))
-    with pytest.raises(ValidationError):
-        beta_density(0, 0.5)
 
 
 def test_sample_beta_known_values():
@@ -169,8 +139,6 @@ def test_sample_coset_n2_degenerates_to_group_draw():
 def test_coset_first_column_matches_qr_oracle():
     from scipy.stats import ks_2samp
 
-    from sunmesh import random_unitary_qr
-
     count = 4000
     cols = np.empty((count, 4), dtype=complex)
     qr_cols = np.empty((count, 4), dtype=complex)
@@ -270,6 +238,30 @@ def test_validate_haar_uniform_beta_control_fails_ks():
     assert not report["passed"]
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_validate_haar_invariance_rejects_a_skewed_first_column(monkeypatch, n):
+    from sunmesh import haar
+
+    draw = haar._chunk_unitaries
+
+    def skewed(n, seed, chunk, size, beta_mode):
+        # |U_11| is kept, so only the invariance check can see the change
+        u = draw(n, seed, chunk, size, beta_mode)
+        rest = u[:, 1:, 0] * np.r_[3.0, np.ones(n - 2)]
+        norm = np.sqrt(1.0 - np.abs(u[:, 0, 0]) ** 2) / np.linalg.norm(rest, axis=1)
+        u[:, 1:, 0] = rest * norm[:, None]
+        return u
+
+    honest = validate_haar(n, 20000, seed=0)
+    monkeypatch.setattr(haar, "_chunk_unitaries", skewed)
+    report = validate_haar(n, 20000, seed=0)
+    assert report["ks"] == honest["ks"]
+    assert report["ks"]["passed"]
+    assert honest["invariance"]["passed"]
+    assert report["invariance"]["passed"] is False
+    assert report["passed"] is False
+
+
 def test_validate_haar_report_shape():
     report = validate_haar(3, 5000, seed=2)
     assert {"n", "samples", "seed", "source", "beta_mode", "significance"} <= set(report)
@@ -304,6 +296,18 @@ def test_validate_haar_moments_match_the_full_sample():
     assert np.allclose(report["moments"]["stderr"], stderr, rtol=1e-12, atol=0.0)
     sigma = np.max(np.abs(mean - 1.0 / n) / stderr)
     assert abs(report["moments"]["max_sigma"] - sigma) <= 1e-10
+
+
+def test_validate_haar_invariance_is_the_one_sample_law_of_vu():
+    from sunmesh._kstest import ks_one_sample
+
+    n, samples, seed = 4, 3000, 3
+    invariance = validate_haar(n, samples, seed=seed)["invariance"]
+    v = random_unitary_qr(n, seed + 1)
+    w11 = np.abs((v @ sample_unitaries(n, samples, seed=seed))[:, 0, 0]) ** 2
+    stat, pvalue = ks_one_sample(w11, lambda s: 1.0 - (1.0 - s) ** (n - 1))
+    assert invariance["stat"] == pytest.approx(stat, rel=1e-12)
+    assert invariance["pvalue"] == pytest.approx(pvalue, rel=1e-9)
 
 
 def test_validate_haar_moments_pvalue_is_bonferroni_over_the_entries():
@@ -368,10 +372,10 @@ def test_validate_haar_statistics_work_in_bounded_chunks():
 
 
 def test_validate_haar_invariance_tail_with_vanishing_term_is_zero():
-    # D = 0.5703 with n = 10000 per side: n * (1 - D) is an integer, so the
-    # last Birnbaum-Tingey term vanishes; a NaN there must not turn into p = 1
+    # a control far in the tail; the vanishing Birnbaum-Tingey term it once
+    # reached is tested on kstwo_sf directly in test_kstest.py
     report = validate_haar(8, 20000, seed=1, beta_mode="uniform")
-    assert report["invariance"]["stat"] == 0.5703
+    assert report["invariance"]["stat"] == pytest.approx(0.2204229126481621, rel=1e-12)
     assert report["invariance"]["pvalue"] == 0.0
     assert report["invariance"]["passed"] is False
     assert report["passed"] is False

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest, kstwo
+from scipy.stats import kstest, kstwo
 
-from sunmesh._kstest import MIN_SAMPLES, ks_one_sample, ks_two_sample, kstwo_sf
+from sunmesh._kstest import MIN_SAMPLES, ks_one_sample, kstwo_sf
 
 
 def _assert_close(ours, scipy_p):
@@ -70,21 +70,10 @@ def test_ks_one_sample_matches_kstest():
         _assert_close(p, float(ref.pvalue))
 
 
-@pytest.mark.parametrize("n", [141, 1000, 10000, 10001, 20001])
-def test_ks_two_sample_matches_scipy_on_exact_and_asymptotic_paths(n):
-    rng = np.random.default_rng(n)
-    for shift in (0.0, 0.05, 0.3, 2.0):
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n) + shift
-        ref = ks_2samp(x, y)
-        stat, p = ks_two_sample(x, y)
-        assert stat == float(ref.statistic)
-        _assert_close(p, float(ref.pvalue))
-
-
-def test_identical_samples_have_pvalue_one():
-    x = np.linspace(0.0, 1.0, 500)
-    assert ks_two_sample(x, x) == (0.0, 1.0)
+def test_tail_with_vanishing_birnbaum_tingey_term_is_zero():
+    # n * (1 - d) = 4297 is an integer, so the last Birnbaum-Tingey term
+    # vanishes; a NaN there must not turn into p = 1
+    assert kstwo_sf(0.5703, 10000) == 0.0
 
 
 def test_small_or_unequal_samples_are_refused():
@@ -93,7 +82,3 @@ def test_small_or_unequal_samples_are_refused():
         kstwo_sf(0.1, 140)
     with pytest.raises(ValueError):
         ks_one_sample(np.linspace(0.0, 1.0, 140), lambda s: s)
-    with pytest.raises(ValueError):
-        ks_two_sample(np.zeros(140), np.zeros(140))
-    with pytest.raises(ValueError):
-        ks_two_sample(np.zeros(200), np.zeros(201))

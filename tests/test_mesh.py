@@ -66,9 +66,11 @@ def test_coupler_validation():
                 Coupler(1, 2, EulerAngles(*angles))
         with pytest.raises(ValidationError, match="^global_phase: expected a number"):
             MeshPlan(2, bad, ())
-    # every real is still an angle, held as given; the phase becomes a float
+    # every real is still an angle, and angles and phase become floats
     for good in (1, np.float32(0.25), np.int64(-3), Fraction(1, 3)):
-        assert Coupler(1, 2, EulerAngles(good, 0.0, good)).angles.alpha == good
+        angles = Coupler(1, 2, EulerAngles(good, 0.0, good)).angles
+        assert all(type(a) is float for a in angles)
+        assert angles == EulerAngles(float(good), 0.0, float(good))
         phase = MeshPlan(2, good, ()).global_phase
         assert type(phase) is float and phase == float(good)
 
@@ -325,6 +327,14 @@ def test_plan_json_roundtrip_is_exact():
     text = json.dumps(plan_to_json(plan))
     back = plan_from_json(json.loads(text))
     assert back == plan
+
+
+@pytest.mark.parametrize("angle", [np.float32(0.25), np.int64(-3), Fraction(1, 3), 1])
+def test_plan_json_roundtrip_of_non_float_angles(angle):
+    plan = MeshPlan(2, 0.0, (Coupler(1, 2, EulerAngles(angle, angle, angle), ARITY_CONSTRAINED),))
+    text = json.dumps(plan_to_json(plan))
+    assert text.count(repr(float(angle))) == 3
+    assert plan_from_json(json.loads(text)) == plan
 
 
 def test_plan_from_json_ignores_extra_keys():
