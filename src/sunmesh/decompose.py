@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceError, ValidationError, check_choice, check_int
+from .errors import ToleranceError, ValidationError, check_choice, check_int, real_float
 from .linalg import _unitary, project_to_su
 from .mesh import (
     ARITY_CONSTRAINED,
@@ -311,10 +311,10 @@ def loss_analysis(plan: MeshPlan, per_coupler_loss_db: float) -> list[dict]:
     order; every coupler whose pair it sits on must be crossed and may
     route it to either port.  For each input mode the minimum and maximum
     number of couplers over all routes is reported together with the
-    attenuation at the given loss per coupler; a negative loss or a
-    non-finite total raises :class:`ValidationError`.
+    attenuation at the given loss per coupler; a loss that is not a real
+    number, a negative loss or a non-finite total raises :class:`ValidationError`.
     """
-    loss = float(per_coupler_loss_db)
+    loss = real_float(per_coupler_loss_db, "per-coupler loss", ValidationError)
     if loss < 0:
         raise ValidationError("per-coupler loss must be nonnegative")
     # best[k, mode] and worst[k, mode]: the fewest and most couplers crossed

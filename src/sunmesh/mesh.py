@@ -12,7 +12,7 @@ unconstrained rotation, ``constrained2`` for one with ``gamma == alpha``.
 
 Plans with non-adjacent pairs (``j > i + 1``) can be represented, embedded,
 multiplied out, and measured for depth, but the mode-locality operations
-(multiplicity, merging, rendering) reject them.
+(rendering and :func:`sunmesh.symrep.lift_plan`) reject them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_choice, check_int, read_field, real_float
-from .su2 import EulerAngles, euler_from_su2, su2_from_euler
+from .su2 import EulerAngles, su2_from_euler
 
 __all__ = [
     "ARITY_FULL",
@@ -35,8 +35,6 @@ __all__ = [
     "embed_coupler",
     "reconstruct",
     "depth",
-    "multiplicity",
-    "merge_adjacent",
     "parameter_count",
     "render",
     "plan_to_json",
@@ -215,40 +213,6 @@ def depth(plan: MeshPlan) -> int:
     """Number of layers when couplers are packed greedily left to right."""
     layers = _layer_assignment(plan.n, _pairs(plan))
     return max(layers, default=0)
-
-
-def multiplicity(plan: MeshPlan, i: int) -> int:
-    """How many couplers act on the adjacent pair ``(i, i+1)``."""
-    _require_adjacent(plan, "multiplicity")
-    check_int(i, "i", 1, plan.n - 1)
-    return sum(1 for c in plan.couplers if c.i == i)
-
-
-def merge_adjacent(plan: MeshPlan) -> MeshPlan:
-    """Fuse couplers on the same pair that are adjacent in time.
-
-    Two couplers on pair (i, i+1) merge when nothing between them touches
-    mode i or i+1; everything in between then commutes past, so the fused
-    plan reconstructs to the same matrix.  Merged couplers are re-extracted
-    as full3.
-    """
-    _require_adjacent(plan, "merge_adjacent")
-    out: list[Coupler] = []
-    for c in plan.couplers:
-        target = None
-        for k in range(len(out) - 1, -1, -1):
-            prev = out[k]
-            if prev.i == c.i:
-                target = k
-                break
-            if prev.i in (c.i, c.j) or prev.j in (c.i, c.j):
-                break
-        if target is None:
-            out.append(c)
-        else:
-            fused = coupler_matrix(out[target]) @ coupler_matrix(c)
-            out[target] = Coupler(c.i, c.j, euler_from_su2(fused), ARITY_FULL)
-    return MeshPlan(plan.n, plan.global_phase, tuple(out))
 
 
 def parameter_count(plan: MeshPlan) -> int:

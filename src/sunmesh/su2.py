@@ -9,9 +9,10 @@ written out as
     [[ exp(+i(alpha+gamma)/2) cos(beta/2), -exp(+i(alpha-gamma)/2) sin(beta/2)],
      [ exp(-i(alpha-gamma)/2) sin(beta/2),  exp(-i(alpha+gamma)/2) cos(beta/2)]]
 
-Angles returned by the extraction routines are normalized to beta in [0, pi]
-and alpha, gamma in (-2*pi, 2*pi].  The map is 4*pi periodic in alpha and
-gamma, and adding 2*pi to alpha flips the sign of the matrix.
+Of the extraction routines, :func:`zeroing_angles` returns beta in [0, pi]
+and alpha, gamma in (-2*pi, 2*pi], and :func:`push_phase_through_coupler`
+wraps the angle it shifts into (-2*pi, 2*pi].  The map is 4*pi periodic in
+alpha and gamma, and adding 2*pi to alpha flips the sign of the matrix.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_choice
-from .linalg import _unitary
+from .errors import check_choice
 
 __all__ = [
     "EulerAngles",
     "su2_from_euler",
-    "euler_from_su2",
     "zeroing_angles",
     "push_phase_through_coupler",
 ]
@@ -83,30 +82,6 @@ def su2_from_euler(angles: EulerAngles) -> np.ndarray:
             [np.exp(-1j * half_diff) * s, np.exp(-1j * half_sum) * c],
         ]
     )
-
-
-def euler_from_su2(u, tol: float = 1e-10) -> EulerAngles:
-    """Recover normalized Euler angles from a 2x2 special unitary.
-
-    When ``beta`` is within ``tol`` of 0 or pi the decomposition is gimbal
-    degenerate (only alpha+gamma or alpha-gamma is determined); the
-    convention here is to set gamma to 0 and put the whole phase in alpha.
-    """
-    a = _unitary(u, tol)
-    if a.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 matrix, got shape {a.shape}")
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det - 1.0) > tol:
-        raise ValidationError("matrix determinant is not 1 within tolerance")
-
-    beta = 2.0 * math.atan2(abs(a[1, 0]), abs(a[0, 0]))
-    if beta <= tol:
-        return EulerAngles(_wrap_phase(2.0 * cmath.phase(a[0, 0])), beta, 0.0)
-    if math.pi - beta <= tol:
-        return EulerAngles(_wrap_phase(-2.0 * cmath.phase(a[1, 0])), beta, 0.0)
-    top = cmath.phase(a[0, 0])
-    bottom = cmath.phase(a[1, 0])
-    return EulerAngles(top - bottom, beta, top + bottom)
 
 
 def zeroing_angles(a: complex, b: complex) -> EulerAngles:

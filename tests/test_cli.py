@@ -186,8 +186,11 @@ def test_sample_haar_is_byte_deterministic(capsys):
 
 
 # SHA-256 of the lift documents below, so a change to either lift route
-# that moves any output bit shows (NumPy 2.4.6 with scipy-openblas 0.3.31
-# on x86-64; another BLAS may move the last bits)
+# that moves any output bit shows.
+# The digests were recorded under NumPy 2.4.6 and scipy-openblas 0.3.31 on
+# an AVX-512 x86-64 host with scipy-openblas's SkylakeX core and glibc 2.36.
+# Three things move the last bits: NumPy's SIMD loops, the OpenBLAS core and
+# glibc's FMA variants, so on another host correct code may give other digests.
 LIFT_SHA256 = {
     ("plan", 2): "9c6056ea7cee8c002b4e200e85ead8c01a91e199a4a6805798b21eeefe3318a8",
     ("plan", 3): "799a954c7f542d9578060aeaa8dcfb405e9c3923e2965dfe0e00968220d5eb8d",
@@ -212,8 +215,11 @@ def test_lift_is_byte_deterministic(tmp_path, capsys):
 
 
 # SHA-256 of each command's stdout at fixed seeds, on the files the test below
-# writes (NumPy 2.4.6 with scipy-openblas 0.3.31 on x86-64; another BLAS may
-# move the last bits)
+# writes.
+# The digests were recorded under NumPy 2.4.6 and scipy-openblas 0.3.31 on
+# an AVX-512 x86-64 host with scipy-openblas's SkylakeX core and glibc 2.36.
+# Three things move the last bits: NumPy's SIMD loops, the OpenBLAS core and
+# glibc's FMA variants, so on another host correct code may give other digests.
 STDOUT_SHA256 = {
     (
         "sample-haar",

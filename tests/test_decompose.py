@@ -19,7 +19,6 @@ from sunmesh import (
     generator_ledger,
     linalg,
     loss_analysis,
-    multiplicity,
     parameter_count,
     random_unitary_qr,
     reck_decompose,
@@ -45,8 +44,9 @@ def test_triangle_structure(n):
     plan = triangle_decompose(random_unitary_qr(n, seed=50 + n))
     assert len(plan.couplers) == n * (n - 1) // 2
     assert all(c.adjacent for c in plan.couplers)
+    pairs = [(c.i, c.j) for c in plan.couplers]
     for i in range(1, n):
-        assert multiplicity(plan, i) == i
+        assert pairs.count((i, i + 1)) == i
     assert depth(plan) == max(1, 2 * n - 3)
     # descending chains: pairs run (n-1,n) down to (k,k+1) for each chain k
     want = [(m_, m_ + 1) for k in range(1, n) for m_ in range(n - 1, k - 1, -1)]
@@ -401,6 +401,10 @@ def test_loss_analysis_rejects_negative_loss():
     plan = triangle_decompose(random_unitary_qr(2, seed=0))
     with pytest.raises(ValidationError):
         loss_analysis(plan, -0.1)
+    # bools and non-reals are not losses, whatever float() makes of them
+    for bad in (True, "x"):
+        with pytest.raises(ValidationError, match="^per-coupler loss: expected a number"):
+            loss_analysis(plan, bad)
 
 
 @pytest.mark.parametrize("loss", [float("nan"), float("inf"), 1e308])

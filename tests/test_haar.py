@@ -177,7 +177,11 @@ def test_sample_unitaries_slab_prefix_crosses_block_edges():
 
 
 # SHA-256 of the raw sampler bytes at fixed seeds, so a change to the draw or
-# the batched product that moves any bit shows (NumPy 2.4.6 on x86-64)
+# the batched product that moves any bit shows.
+# The digests were recorded under NumPy 2.4.6 and scipy-openblas 0.3.31 on
+# an AVX-512 x86-64 host with scipy-openblas's SkylakeX core and glibc 2.36.
+# Three things move the last bits: NumPy's SIMD loops, the OpenBLAS core and
+# glibc's FMA variants, so on another host correct code may give other digests.
 SAMPLER_SHA256 = {
     (5, 2049, 7): "d8cff27df37aaecb715766782c54149cd86e986d0ce2118fe27a25a8e812dff0",
     (16, 1100, 3): "c02fc819138c2440e7cc570b0d3ec608c1e745074058832ad741b32bb7d103e2",

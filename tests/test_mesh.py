@@ -18,8 +18,6 @@ from sunmesh import (
     coupler_matrix,
     depth,
     embed_coupler,
-    merge_adjacent,
-    multiplicity,
     parameter_count,
     plan_from_json,
     plan_to_json,
@@ -136,16 +134,16 @@ def _random_span_plan(n, seed):
     return MeshPlan(n, 0.4, tuple(couplers))
 
 
-def _doubled_triangle_merged(u):
+def _doubled_triangle(u):
     tri = triangle_decompose(u)
-    return merge_adjacent(MeshPlan(tri.n, 0.7, tri.couplers + tri.couplers))
+    return MeshPlan(tri.n, 0.7, tri.couplers * 2)
 
 
 KERNEL_PLANS = {
     "triangle": triangle_decompose,
     "reck": reck_decompose,
     "clements": clements_decompose,
-    "merged": _doubled_triangle_merged,
+    "doubled": _doubled_triangle,
     "empty": lambda u: MeshPlan(u.shape[0], -1.3, ()),
     "random_spans": lambda u: _random_span_plan(u.shape[0], seed=u.shape[0]),
 }
@@ -197,55 +195,6 @@ def test_depth_counts_nonadjacent_span():
     # a (1,3) coupler blocks mode 2, so a following (2,3) cannot share its layer
     plan = MeshPlan(3, 0.0, (full(1, 3, 0, 0, 0), full(2, 3, 0, 0, 0)))
     assert depth(plan) == 2
-
-
-def test_multiplicity_counts_pairs():
-    plan = MeshPlan(
-        3, 0.0, (full(2, 3, 0, 0, 0), full(1, 2, 0, 0, 0), full(2, 3, 0, 0, 0))
-    )
-    assert multiplicity(plan, 1) == 1
-    assert multiplicity(plan, 2) == 2
-    with pytest.raises(ValidationError):
-        multiplicity(plan, 3)
-
-
-def test_multiplicity_rejects_nonadjacent_plans():
-    plan = MeshPlan(3, 0.0, (full(1, 3, 0, 0, 0),))
-    with pytest.raises(ValidationError):
-        multiplicity(plan, 1)
-
-
-def test_merge_fuses_couplers_separated_by_disjoint_ones():
-    a = full(3, 4, 0.1, 0.2, 0.3)
-    b = full(1, 2, 0.4, 0.5, 0.6)
-    c = full(3, 4, 0.7, 0.8, 0.9)
-    plan = MeshPlan(4, 0.0, (a, b, c))
-    merged = merge_adjacent(plan)
-    assert [(x.i, x.j) for x in merged.couplers] == [(3, 4), (1, 2)]
-    assert np.allclose(reconstruct(merged), reconstruct(plan), atol=1e-12)
-    fused = coupler_matrix(merged.couplers[0])
-    assert np.allclose(fused, coupler_matrix(a) @ coupler_matrix(c), atol=1e-12)
-
-
-def test_merge_stops_at_couplers_sharing_a_mode():
-    plan = MeshPlan(
-        3, 0.0, (full(1, 2, 0.1, 0.2, 0.3), full(2, 3, 0.4, 0.5, 0.6), full(1, 2, 0.7, 0.8, 0.9))
-    )
-    merged = merge_adjacent(plan)
-    assert len(merged.couplers) == 3
-    assert np.allclose(reconstruct(merged), reconstruct(plan), atol=1e-12)
-
-
-def test_merge_consecutive_same_pair():
-    plan = MeshPlan(2, 0.0, (full(1, 2, 0.1, 0.9, 0.2), full(1, 2, -0.3, 0.4, 0.5)))
-    merged = merge_adjacent(plan)
-    assert len(merged.couplers) == 1
-    assert np.allclose(reconstruct(merged), reconstruct(plan), atol=1e-12)
-
-
-def test_merge_rejects_nonadjacent_plans():
-    with pytest.raises(ValidationError):
-        merge_adjacent(MeshPlan(3, 0.0, (full(1, 3, 0, 0, 0),)))
 
 
 def test_parameter_count_by_arity():

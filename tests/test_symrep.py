@@ -22,7 +22,6 @@ from sunmesh import (
     lift_plan,
     lift_via_permanents,
     lifted_generator,
-    merge_adjacent,
     permanent_ryser,
     random_unitary_qr,
     reconstruct,
@@ -517,7 +516,7 @@ def coupler_product(basis, plan):
 
 def doubled_triangle(n, seed):
     m, plan = canonical_plan(n, seed)
-    return merge_adjacent(MeshPlan(n, plan.global_phase, plan.couplers * 2))
+    return MeshPlan(n, plan.global_phase, plan.couplers * 2)
 
 
 @pytest.mark.parametrize(
@@ -528,7 +527,7 @@ def doubled_triangle(n, seed):
         lambda: MeshPlan(1, 0.4, ()),
         lambda: MeshPlan(3, -0.9, ()),
     ],
-    ids=["clements", "merged-doubled-triangle", "one-mode", "empty"],
+    ids=["clements", "doubled", "one-mode", "empty"],
 )
 @pytest.mark.parametrize("p", range(5))
 def test_lift_plan_matches_coupler_product(make_plan, p):
