@@ -35,7 +35,7 @@ from .mesh import (
     _triangle_pairs,
     reconstruct,
 )
-from .su2 import EulerAngles, push_phase_through_coupler, zeroing_angles
+from .su2 import push_phase_through_coupler, zeroing_angles
 
 __all__ = [
     "triangle_decompose",
@@ -160,9 +160,7 @@ def _carry_phases(plan: MeshPlan) -> MeshPlan:
             # Split K(a, b, g) = K(a, b, a) * Rz(g - a) and hand the z
             # residue to the running diagonal.
             half = 0.5 * (ang.gamma - ang.alpha)
-            out.append(
-                Coupler(c.i, c.j, EulerAngles(ang.alpha, ang.beta, ang.alpha), ARITY_CONSTRAINED)
-            )
+            out.append(Coupler(c.i, c.j, ang._replace(gamma=ang.alpha), ARITY_CONSTRAINED))
             theta[p] += half
             theta[q] -= half
     mean = sum(theta) / n

@@ -10,7 +10,7 @@ list is the leftmost factor.  Couplers carry a 1-based mode pair ``(i, j)``
 with ``i < j``, z-y-z Euler angles, and an arity tag: ``full3`` for an
 unconstrained rotation, ``constrained2`` for one with ``gamma == alpha``.
 
-Plans with non-adjacent pairs (``j > i + 1``) can be represented, embedded,
+Plans with non-adjacent pairs (``j > i + 1``) can be represented,
 multiplied out, and measured for depth, but the mode-locality operations
 (rendering and :func:`sunmesh.symrep.lift_plan`) reject them.
 """
@@ -32,7 +32,6 @@ __all__ = [
     "Coupler",
     "MeshPlan",
     "coupler_matrix",
-    "embed_coupler",
     "reconstruct",
     "depth",
     "parameter_count",
@@ -66,12 +65,7 @@ class Coupler:
             raise ValidationError(f"need 1 <= i < j, got ({self.i}, {self.j})")
         if not isinstance(self.angles, EulerAngles):
             raise ValidationError("angles must be an EulerAngles instance")
-        a, where = self.angles, "coupler angles"
-        angles = (
-            real_float(a.alpha, where, ValidationError),
-            real_float(a.beta, where, ValidationError),
-            real_float(a.gamma, where, ValidationError),
-        )
+        angles = tuple(real_float(x, "coupler angles", ValidationError) for x in self.angles)
         if not all(map(math.isfinite, angles)):
             raise ValidationError(f"coupler angles must be finite, got {angles}")
         object.__setattr__(self, "angles", EulerAngles(*angles))
@@ -124,18 +118,6 @@ def coupler_matrix(c: Coupler) -> np.ndarray:
     return su2_from_euler(c.angles)
 
 
-def embed_coupler(n: int, c: Coupler) -> np.ndarray:
-    """Embed a coupler into the n-dimensional identity at its mode pair."""
-    check_int(n, "n")
-    if c.j > n:
-        raise ValidationError(f"coupler pair ({c.i}, {c.j}) does not fit in {n} modes")
-    out = np.eye(n, dtype=np.complex128)
-    k = coupler_matrix(c)
-    idx = (c.i - 1, c.j - 1)
-    out[np.ix_(idx, idx)] = k
-    return out
-
-
 def reconstruct(plan: MeshPlan) -> np.ndarray:
     """Multiply the plan out into its n x n unitary.
 
@@ -144,7 +126,7 @@ def reconstruct(plan: MeshPlan) -> np.ndarray:
     so the cost is O(m * n) arithmetic in O(depth) Python steps per block
     of :func:`_product`; a plan has no batch axis, so it is one block.
     """
-    table = np.array([tuple(c.angles) for c in plan.couplers], dtype=float).reshape(-1, 3)
+    table = np.array([c.angles for c in plan.couplers], dtype=float).reshape(-1, 3)
     u = _product(plan.n, _pairs(plan), table.T)
     return cmath.exp(1j * math.fmod(plan.global_phase, 2.0 * math.pi)) * u
 
@@ -310,9 +292,7 @@ def plan_to_json(plan: MeshPlan) -> dict:
             {
                 "i": c.i,
                 "j": c.j,
-                "alpha": c.angles.alpha,
-                "beta": c.angles.beta,
-                "gamma": c.angles.gamma,
+                **c.angles._asdict(),
                 "arity": c.arity,
             }
             for c in plan.couplers
@@ -333,6 +313,6 @@ def plan_from_json(obj) -> MeshPlan:
     for idx, entry in enumerate(read_field(obj, "couplers", "plan", list)):
         where = f"coupler {idx}"
         i, j = (read_field(entry, key, where, int) for key in ("i", "j"))
-        angles = (read_field(entry, key, where, float) for key in ("alpha", "beta", "gamma"))
+        angles = (read_field(entry, key, where, float) for key in EulerAngles._fields)
         couplers.append(Coupler(i, j, EulerAngles(*angles), read_field(entry, "arity", where, str)))
     return MeshPlan(n, phase, tuple(couplers))

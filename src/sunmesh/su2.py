@@ -9,17 +9,19 @@ written out as
     [[ exp(+i(alpha+gamma)/2) cos(beta/2), -exp(+i(alpha-gamma)/2) sin(beta/2)],
      [ exp(-i(alpha-gamma)/2) sin(beta/2),  exp(-i(alpha+gamma)/2) cos(beta/2)]]
 
-Of the extraction routines, :func:`zeroing_angles` returns beta in [0, pi]
-and alpha, gamma in (-2*pi, 2*pi], and :func:`push_phase_through_coupler`
-wraps the angle it shifts into (-2*pi, 2*pi].  The map is 4*pi periodic in
-alpha and gamma, and adding 2*pi to alpha flips the sign of the matrix.
+The angles travel as :class:`EulerAngles`, a named tuple, so the field
+order is stated once, in the type.  Of the extraction routines,
+:func:`zeroing_angles` returns beta in [0, pi] and alpha, gamma in
+(-2*pi, 2*pi], and :func:`push_phase_through_coupler` wraps the angle it
+shifts into (-2*pi, 2*pi].  The map is 4*pi periodic in alpha and gamma,
+and adding 2*pi to alpha flips the sign of the matrix.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,18 +51,12 @@ def _wrap_phase(x: float) -> float:
     return y
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(NamedTuple):
     """The triple (alpha, beta, gamma) of z-y-z Euler angles."""
 
     alpha: float
     beta: float
     gamma: float
-
-    def __iter__(self):
-        yield self.alpha
-        yield self.beta
-        yield self.gamma
 
 
 def su2_from_euler(angles: EulerAngles) -> np.ndarray:
@@ -125,11 +121,7 @@ def push_phase_through_coupler(
     Returns the updated angles and ``mu``.
     """
     if check_choice(side, "side", ("left", "right")) == "left":
-        new = EulerAngles(
-            _wrap_phase(angles.alpha + theta_i - theta_j), angles.beta, angles.gamma
-        )
+        new = angles._replace(alpha=_wrap_phase(angles.alpha + theta_i - theta_j))
     else:
-        new = EulerAngles(
-            angles.alpha, angles.beta, _wrap_phase(angles.gamma + theta_i - theta_j)
-        )
+        new = angles._replace(gamma=_wrap_phase(angles.gamma + theta_i - theta_j))
     return new, 0.5 * (theta_i + theta_j)

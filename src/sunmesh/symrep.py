@@ -109,15 +109,22 @@ def _rank(occ: np.ndarray) -> np.ndarray:
     photons after mode k: the states before m are those that put more
     photons on mode k and the same on modes 1..k-1, for some k.  Term k
     counts the states of fewer than t_k photons on the modes after k, at
-    most the dimension of m's basis, so the binomial table built here is
-    exact in int64 (building it raises rather than wrap).
+    most the dimension of m's basis, so the :func:`_binomials` table is
+    exact in int64.
     """
     n = occ.shape[-1]
     after = np.cumsum(occ[..., :0:-1], axis=-1)[..., ::-1]
-    top = int(after.max(initial=0))
+    return _binomials(n, int(after.max(initial=0)))[np.arange(n - 1), after].sum(axis=-1)
+
+
+def _binomials(n: int, top: int) -> np.ndarray:
+    """The (n-1, top+1) int64 table of :func:`_rank`'s terms.
+
+    Entry [k-1, t] is C(t + n-k-1, n-k), term k at t photons after mode k.
+    Building it raises rather than wrap in int64.
+    """
     terms = [[math.comb(t + r - 1, r) for t in range(top + 1)] for r in range(n - 1, 0, -1)]
-    table = np.array(terms, np.int64).reshape(n - 1, top + 1)
-    return table[np.arange(n - 1), after].sum(axis=-1)
+    return np.array(terms, np.int64).reshape(n - 1, top + 1)
 
 
 class FockBasis:
@@ -175,21 +182,21 @@ def _pair_tables(n: int, p: int) -> tuple[tuple[tuple[int, np.ndarray], ...], ..
     (s+1, groups) table lists the rows of ``FockBasis(n, p)`` with
     m_i + m_{i+1} = s, one column per setting of the other occupations,
     rows ordered m_i = s, ..., 0 as in ``FockBasis(2, s)``.  The s = 0
-    block is 1.  A group is the :func:`_rank` of its head (m_i = s,
-    m_{i+1} = 0) with a = 0..s photons moved to mode i+1.  Shared
+    block is 1.  A group is its head (m_i = s, m_{i+1} = 0) with a = 0..s
+    photons moved to mode i+1.  That changes only term i of the head's
+    :func:`_rank`, t photons after mode i becoming t + a, so a group's rows
+    are the head's own row plus the change of that one term.  Shared
     read-only, at most (n-1) * dim indices; callers hold a FockBasis of p
     photons on at least n modes, so the dimension cap has been checked.
     """
     occ = _occupations(n, p)
     pair, head = np.nonzero(((occ[:, :-1] > 0) & (occ[:, 1:] == 0)).T)
-    photons, tables = occ[head, pair], [[] for _ in range(n - 1)]
+    photons, after = occ[head, pair], p - np.cumsum(occ, axis=1)[head, pair]
+    binomials, tables = _binomials(n, p), [[] for _ in range(n - 1)]
     for s in sorted(set(photons.tolist())):
-        # (groups, s+1, n): the heads of s photons, a = 0..s of them moved
         pick = photons == s
-        group, q = np.repeat(occ[head[pick], None], s + 1, axis=1), pair[pick, None]
-        at, moved = np.arange(len(q))[:, None], np.arange(s + 1)
-        group[at, moved, q], group[at, moved, q + 1] = s - moved, moved
-        rows = _rank(group)
+        q, t = pair[pick, None], after[pick, None]
+        rows = head[pick, None] + binomials[q, t + np.arange(s + 1)] - binomials[q, t]
         rows.flags.writeable = False
         first = np.flatnonzero(np.diff(q[:, 0], prepend=-1))  # each pair's first group
         for i, block in zip(q[first, 0].tolist(), np.split(rows, first[1:])):
@@ -293,7 +300,7 @@ def lift_plan(basis: FockBasis, plan: MeshPlan) -> np.ndarray:
         return np.ones((1, 1), dtype=np.complex128)
     n, p, dim = basis.n, basis.p, len(basis)
     couplers = plan.couplers[::-1]
-    angles = np.array([tuple(c.angles) for c in couplers], dtype=float).reshape(-1, 3)
+    angles = np.array([c.angles for c in couplers], dtype=float).reshape(-1, 3)
     # each coupler's level (the lowest mode touched so far, 1 meaning dense),
     # then 1 to end the walk; at level j >= 2 a coupler acts on the pair
     # i-j+2 of n-j+2 modes, and on the dense product through level 2's tables
@@ -372,10 +379,9 @@ def _photon_tables(n: int, p: int) -> tuple[tuple[np.ndarray, ...], ...]:
     levels, below, unit = [], np.zeros((1, n), np.int64), np.eye(n, dtype=np.int64)
     for q in range(1, p + 1):
         occ = _occupations(n, q)
-        state, j = np.nonzero(occ)
-        lower = np.zeros((n, len(occ)), np.int64)
-        lower[j, state] = _rank(occ[state] - unit[j])
         upper = _rank(below + unit[:, None])
+        lower = np.zeros((n, len(occ)), np.int64)
+        lower[np.arange(n)[:, None], upper] = np.arange(len(below))  # (k + e_j) - e_j = k
         root = np.sqrt(occ.T)
         weight = np.take_along_axis(root, upper, axis=1)
         for table in (lower, root, upper, weight):

@@ -12,7 +12,6 @@ import time
 from collections import Counter
 
 import numpy as np
-import pytest
 
 import radical_algebra
 from sunmesh import (

@@ -15,7 +15,6 @@ from sunmesh import (
     canonicalize,
     clements_decompose,
     depth,
-    embed_coupler,
     generator_ledger,
     linalg,
     loss_analysis,
@@ -26,6 +25,7 @@ from sunmesh import (
     recursive_view,
     triangle_decompose,
 )
+from test_mesh import embed_coupler
 
 
 def residual(plan, m):

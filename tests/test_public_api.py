@@ -12,8 +12,9 @@ TRACING = ROOT / "bench" / "tracing.py"
 
 # Public names that nothing in src/, demos/ or bench/ calls, kept on purpose
 UNCALLED_BUT_KEPT = {
-    # the tests' independent reference for reconstruct
-    "embed_coupler",
+    # a layer that bench/tracing.py traces by name; the tests build their
+    # reference embedding of a coupler from it
+    "coupler_matrix",
     # test oracles that bench/tracing.py traces, naming them only as strings
     "permanent_ryser",
     "lifted_generator",
@@ -89,3 +90,33 @@ def test_every_public_name_has_a_caller():
     public = {name for mod in _submodules_with_all() for name in mod.__all__}
     assert sorted(public - used - UNCALLED_BUT_KEPT) == []
     assert sorted(UNCALLED_BUT_KEPT - (public - used)) == []
+
+
+
+def _unused_imports(tree):
+    """(line, name) of each name an import binds that the file never reads
+    as a Name (which includes the base of an Attribute) or lists in its
+    __all__; star and __future__ imports bind no name to check."""
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names if a.name != "*")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and [
+            getattr(t, "id", None) for t in node.targets
+        ] == ["__all__"]:
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for folder in ("src", "demos", "bench", "tests")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert unused == []

@@ -130,3 +130,15 @@ def test_push_phase_commutes_diagonal_exactly(side, seed):
 def test_push_phase_rejects_unknown_side():
     with pytest.raises(ValidationError):
         push_phase_through_coupler(0.1, 0.2, EulerAngles(0, 0, 0), side="middle")
+
+
+def test_euler_angles_is_a_named_tuple_of_the_three_fields():
+    assert EulerAngles._fields == ("alpha", "beta", "gamma")
+    ang = EulerAngles(0.3, 1.1, -0.7)
+    left, _ = push_phase_through_coupler(0.2, -0.4, ang, side="left")
+    right, _ = push_phase_through_coupler(0.2, -0.4, ang, side="right")
+    assert type(left) is type(right) is EulerAngles
+    assert left.beta is ang.beta and left.gamma is ang.gamma
+    assert right.alpha is ang.alpha and right.beta is ang.beta
+    with pytest.raises(AttributeError):
+        ang.alpha = 0.0

@@ -762,6 +762,24 @@ def test_pair_tables_are_cached_shared_and_read_only():
             assert sorted(seen + unpaired) == list(range(len(basis)))
 
 
+def test_cold_pair_tables_hold_a_few_occupation_tables_at_most():
+    # a group's rows come from its head's row, so no grouped state is built
+    # as an n-entry row; the occupations alone are 8 * n * dim bytes
+    import tracemalloc
+
+    from sunmesh import symrep
+
+    n, p = 1000, 1
+    tracemalloc.start()
+    try:
+        symrep._pair_tables.__wrapped__(n, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    occupations = 8 * n * basis_dimension(n, p)
+    assert peak <= 4 * occupations, peak / occupations
+
+
 def test_over_cap_basis_builds_no_pair_table(monkeypatch):
     from sunmesh import symrep
 
